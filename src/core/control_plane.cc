@@ -761,26 +761,26 @@ void MagazineClient::MaybeRefill(Pasid pasid, uint64_t pages) {
           // the controller's teardown/quarantine reclaim frees them.
           return;
         }
-        Magazine& magazine = mag_it->second;
-        magazine.refill_in_flight = false;
+        Magazine& refilled = mag_it->second;
+        refilled.refill_in_flight = false;
         if (!leased.ok()) {
-          auto waiters = std::move(magazine.waiters);
-          magazine.waiters.clear();
+          auto waiters = std::move(refilled.waiters);
+          refilled.waiters.clear();
           for (auto& waiter : waiters) {
             waiter(leased.status());
           }
           return;
         }
         for (VirtAddr vaddr : *leased) {
-          if (!magazine.waiters.empty()) {
-            auto waiter = std::move(magazine.waiters.front());
-            magazine.waiters.pop_front();
+          if (!refilled.waiters.empty()) {
+            auto waiter = std::move(refilled.waiters.front());
+            refilled.waiters.pop_front();
             waiter(vaddr);
           } else {
-            magazine.free.push_back(vaddr);
+            refilled.free.push_back(vaddr);
           }
         }
-        if (!magazine.waiters.empty()) {
+        if (!refilled.waiters.empty()) {
           MaybeRefill(pasid, pages);
         }
       });

@@ -30,22 +30,29 @@ Status Iommu::Map(const ProgrammingKey& key, Pasid pasid, uint64_t vpage, uint64
   (void)key;
   auto& table = tables_[pasid];
   if (!table) {
-    table = std::make_unique<PageTable>();
+    if (spare_tables_.empty()) {
+      table = std::make_unique<PageTable>();
+    } else {
+      table = std::move(spare_tables_.back());
+      spare_tables_.pop_back();
+    }
   }
   return table->Map(vpage, pframe, access);
 }
 
 Status Iommu::Unmap(const ProgrammingKey& key, Pasid pasid, uint64_t vpage) {
   (void)key;
-  PageTable* table = FindTable(pasid);
-  if (table == nullptr) {
+  auto it = tables_.find(pasid);
+  if (it == tables_.end()) {
     return NotFound("no such address space");
   }
-  Status status = table->Unmap(vpage);
+  Status status = it->second->Unmap(vpage);
   if (status.ok()) {
     tlb_.InvalidatePage(pasid, vpage);
-    if (table->mapped_pages() == 0) {
-      tables_.erase(pasid);
+    if (it->second->mapped_pages() == 0) {
+      // An emptied table holds only its root, like a new one.
+      spare_tables_.push_back(std::move(it->second));
+      tables_.erase(it);
     }
   }
   return status;

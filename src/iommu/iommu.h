@@ -15,6 +15,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "src/base/status.h"
 #include "src/base/types.h"
@@ -137,6 +138,9 @@ class Iommu {
   DeviceId owner_;
   Tlb tlb_;
   std::unordered_map<Pasid, std::unique_ptr<PageTable>> tables_;
+  // Tables whose last page was unmapped, kept with their spare nodes for the
+  // next address space instead of being freed and allocated again.
+  std::vector<std::unique_ptr<PageTable>> spare_tables_;
   FaultHandler fault_handler_;
   uint64_t translations_ = 0;
   uint64_t faults_ = 0;

@@ -23,6 +23,21 @@ struct PageTable::Node {
   uint64_t used = 0;
 };
 
+namespace {
+
+// Takes a spare node, or allocates one when none is left.
+template <typename T>
+std::unique_ptr<T> TakeSpare(std::vector<std::unique_ptr<T>>& spares) {
+  if (spares.empty()) {
+    return std::make_unique<T>();
+  }
+  std::unique_ptr<T> node = std::move(spares.back());
+  spares.pop_back();
+  return node;
+}
+
+}  // namespace
+
 PageTable::PageTable() : root_(std::make_unique<Node>()), node_count_(1) {}
 
 PageTable::~PageTable() = default;
@@ -45,7 +60,7 @@ Status PageTable::Map(uint64_t vpage, uint64_t pframe, Access access) {
     int index = IndexAt(vpage, level);
     auto& child = node->children[static_cast<size_t>(index)];
     if (!child) {
-      child = std::make_unique<Node>();
+      child = TakeSpare(spare_nodes_);
       ++node->used;
       ++node_count_;
     }
@@ -55,7 +70,7 @@ Status PageTable::Map(uint64_t vpage, uint64_t pframe, Access access) {
   int leaf_index = IndexAt(vpage, 1);
   auto& leaf = node->leaves[static_cast<size_t>(leaf_index)];
   if (!leaf) {
-    leaf = std::make_unique<Leaf>();
+    leaf = TakeSpare(spare_leaves_);
     ++node->used;
     ++node_count_;
   }
@@ -101,20 +116,21 @@ Status PageTable::Unmap(uint64_t vpage) {
   --leaf->used;
   --mapped_pages_;
 
-  // Prune: free the leaf if empty, then interior nodes bottom-up.
+  // Prune: spare the leaf if empty, then interior nodes bottom-up.
   if (leaf->used == 0) {
-    node->leaves[static_cast<size_t>(leaf_index)].reset();
+    spare_leaves_.push_back(std::move(node->leaves[static_cast<size_t>(leaf_index)]));
     --node->used;
     --node_count_;
     // path[level] holds the interior node entered at `level`; root is
-    // path[kLevels-1] and is never freed.
+    // path[kLevels-1] and is never pruned.
     for (int level = 1; level <= kLevels - 2; ++level) {
       Node* child = path[level];
       if (child->used != 0) {
         break;
       }
       Node* parent = path[level + 1];
-      parent->children[static_cast<size_t>(IndexAt(vpage, level + 1))].reset();
+      spare_nodes_.push_back(
+          std::move(parent->children[static_cast<size_t>(IndexAt(vpage, level + 1))]));
       --parent->used;
       --node_count_;
     }

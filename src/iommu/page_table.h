@@ -9,6 +9,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "src/base/status.h"
 #include "src/base/types.h"
@@ -38,7 +39,8 @@ class PageTable {
   // owner must unmap first (prevents silent aliasing).
   Status Map(uint64_t vpage, uint64_t pframe, Access access);
 
-  // Removes a mapping; interior nodes are freed when they empty out.
+  // Removes a mapping; leaves and interior nodes that empty out leave the tree
+  // and are kept, all-zero, for the next Map that needs one.
   Status Unmap(uint64_t vpage);
 
   // Walks the table. On success also reports how many levels were touched
@@ -49,7 +51,8 @@ class PageTable {
   Status SetAccess(uint64_t vpage, Access access);
 
   uint64_t mapped_pages() const { return mapped_pages_; }
-  // Interior + leaf node count, a proxy for table memory footprint.
+  // Interior + leaf nodes in the tree (spares excluded), a proxy for table
+  // memory footprint.
   uint64_t node_count() const { return node_count_; }
 
  private:
@@ -59,6 +62,10 @@ class PageTable {
   static int IndexAt(uint64_t vpage, int level);
 
   std::unique_ptr<Node> root_;
+  // Pruned nodes. Unmap prunes a node only once every entry in it is reset,
+  // so a spare is indistinguishable from a freshly allocated one.
+  std::vector<std::unique_ptr<Node>> spare_nodes_;
+  std::vector<std::unique_ptr<Leaf>> spare_leaves_;
   uint64_t mapped_pages_ = 0;
   uint64_t node_count_ = 0;
 };

@@ -427,6 +427,7 @@ void KvsEngine::CompactNow(StartCallback done) {
           AbortCompaction(created, std::move(done));
           return;
         }
+        aborted_compact_file_.reset();
         compact_file_ = std::make_unique<ssddev::FileClient>(host_, pasid_, config_.file_client);
         compact_file_->Open(target, config_.auth_token,
                             [this, done = std::move(done)](Status opened) mutable {
@@ -538,7 +539,7 @@ void KvsEngine::AbortCompaction(Status reason, StartCallback done) {
     DeviceId provider = compact_file_->provider();
     std::string target = GenName(generation_ + 1);
     compact_file_->Reset(reason);
-    compact_file_.reset();
+    aborted_compact_file_ = std::move(compact_file_);
     if (provider.valid()) {
       ssddev::DeleteRemoteFile(host_, provider, target, config_.auth_token, [](Status) {});
     }

@@ -160,6 +160,10 @@ class KvsEngine {
 
   bool compacting_ = false;
   std::unique_ptr<ssddev::FileClient> compact_file_;
+  // An aborted compaction's client. The abort can run inside that client's
+  // own completion, so the client lives on until the next compaction
+  // replaces it (or the engine goes away).
+  std::unique_ptr<ssddev::FileClient> aborted_compact_file_;
 
   // 256-byte tier: a queued op captures a key plus a nested 160-tier
   // completion (~210-230 bytes) and must stay inline.

@@ -7,6 +7,8 @@
 #define SRC_MEM_PHYSICAL_MEMORY_H_
 
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -15,13 +17,18 @@
 
 namespace lastcpu::mem {
 
+// Storage comes from calloc, which serves a machine-sized request from a
+// fresh anonymous mapping: a page of host memory is materialized only when
+// the model first writes it. One bit per frame records "written since last
+// zeroed", so zeroing a frame nobody wrote costs nothing. Every write path
+// sets the bit; ZeroFrame alone reads and clears it.
 class PhysicalMemory {
  public:
   // Size is rounded up to whole pages.
   explicit PhysicalMemory(uint64_t bytes);
 
-  uint64_t size_bytes() const { return storage_.size(); }
-  uint64_t num_frames() const { return storage_.size() >> kPageShift; }
+  uint64_t size_bytes() const { return size_; }
+  uint64_t num_frames() const { return size_ >> kPageShift; }
 
   // Bounds-checked raw access. Out-of-range is a wiring bug, so it aborts
   // rather than returning a status: hardware cannot address past the DIMMs.
@@ -39,7 +46,16 @@ class PhysicalMemory {
   void WriteU64(PhysAddr addr, uint64_t value);
 
  private:
-  std::vector<uint8_t> storage_;
+  struct FreeDeleter {
+    void operator()(uint8_t* bytes) const { std::free(bytes); }
+  };
+
+  // Whether [addr, addr + len) lies inside the DIMMs, without wrapping.
+  bool InRange(uint64_t addr, uint64_t len) const { return len <= size_ && addr <= size_ - len; }
+
+  uint64_t size_;
+  std::unique_ptr<uint8_t[], FreeDeleter> storage_;
+  std::vector<bool> written_;  // per frame
 };
 
 }  // namespace lastcpu::mem

@@ -20,13 +20,15 @@ class Parser {
   explicit Parser(std::string_view text) : text_(text) {}
 
   Result<JsonValue> Parse() {
-    JsonValue value;
-    LASTCPU_JSON_RETURN(ParseValue(&value));
+    // Parsed straight into the result: moving a finished document into the
+    // Result's variant trips a false -Wmaybe-uninitialized in GCC 12.
+    Result<JsonValue> result = JsonValue();
+    LASTCPU_JSON_RETURN(ParseValue(&result.value()));
     SkipWhitespace();
     if (pos_ != text_.size()) {
       return Error("trailing garbage after document");
     }
-    return value;
+    return result;
   }
 
  private:

@@ -330,7 +330,9 @@ bool FileClient::HandleDoorbell(DeviceId from, uint64_t value) {
 }
 
 void FileClient::DrainCompletions() {
-  for (;;) {
+  // A completion callback may reset this session (an aborted KVS compaction
+  // does), which drops the queue mid-drain.
+  while (queue_ != nullptr) {
     auto used = queue_->PollUsed();
     if (!used.ok() || !used->has_value()) {
       return;

@@ -878,11 +878,11 @@ void Ftl::FinishGc(uint32_t die, uint32_t block) {
   }
   nand_->EraseBlock(die, block, [this, die, block](Status s) {
     LASTCPU_CHECK(s.ok(), "erase failed during GC");
-    BlockInfo& info = dies_[die].blocks[block];
-    LASTCPU_CHECK(info.valid == 0 && info.inflight == 0, "erasing block with live pages");
-    std::fill(info.lpn_of_page.begin(), info.lpn_of_page.end(), -1);
-    info.next_page = 0;
-    info.is_free = true;
+    BlockInfo& erased = dies_[die].blocks[block];
+    LASTCPU_CHECK(erased.valid == 0 && erased.inflight == 0, "erasing block with live pages");
+    std::fill(erased.lpn_of_page.begin(), erased.lpn_of_page.end(), -1);
+    erased.next_page = 0;
+    erased.is_free = true;
     dies_[die].free_blocks.push_back(block);
     gc_in_progress_ = false;
     PumpStalled();

@@ -1,0 +1,18 @@
+// A counting replacement for the global operator new. Linking
+// alloc_counter.cc into a test binary installs it for that whole binary, so a
+// test can check that a path allocates no large block.
+#ifndef TESTS_ALLOC_COUNTER_H_
+#define TESTS_ALLOC_COUNTER_H_
+
+#include <cstdint>
+
+namespace lastcpu::alloc_counter {
+
+inline constexpr uint64_t kLargeBlockBytes = 4096;
+
+// Blocks of at least kLargeBlockBytes allocated through operator new so far.
+uint64_t LargeBlocks();
+
+}  // namespace lastcpu::alloc_counter
+
+#endif  // TESTS_ALLOC_COUNTER_H_

@@ -48,7 +48,7 @@ class MagazineStub : public dev::Device {
 };
 
 struct Schedule {
-  const char* name;
+  const char* name = nullptr;
   sim::CrashPlan plan;
   bus::RestartPolicy policy;  // defaults unless a schedule overrides
   bool expect_ssd_quarantine = false;
@@ -110,26 +110,30 @@ sim::CrashSpec PowerCutOnProgram(uint32_t device, uint64_t kth) {
 std::vector<Schedule> Schedules() {
   std::vector<Schedule> all;
   {
-    Schedule s{.name = "ssd-transient"};
+    Schedule s;
+    s.name = "ssd-transient";
     s.plan.crashes = {TimeKill(kSsdId, 300)};
     all.push_back(s);
   }
   {
     // Two sabotaged self-tests after the kill: the supervisor's restart
     // deadline carries the episode until the third pulse succeeds.
-    Schedule s{.name = "ssd-crash-loop-then-recover"};
+    Schedule s;
+    s.name = "ssd-crash-loop-then-recover";
     s.plan.crashes = {TimeKill(kSsdId, 300, Respawn::kCrashLoop, 2)};
     all.push_back(s);
   }
   {
-    Schedule s{.name = "ssd-never-returns"};
+    Schedule s;
+    s.name = "ssd-never-returns";
     s.plan.crashes = {TimeKill(kSsdId, 300, Respawn::kNever)};
     s.expect_ssd_quarantine = true;
     all.push_back(s);
   }
   {
     // Dead silicon halfway through the very first boot self-test.
-    Schedule s{.name = "ssd-dies-in-boot-self-test"};
+    Schedule s;
+    s.name = "ssd-dies-in-boot-self-test";
     s.plan.crashes = {SelfTestKill(kSsdId)};
     all.push_back(s);
   }
@@ -137,7 +141,8 @@ std::vector<Schedule> Schedules() {
     // The SSD makes only a handful of bus sends (announce, discovery and
     // session-setup replies) — the data path rides the fabric. Its third
     // send is the file-list reply, so this kill lands mid session setup.
-    Schedule s{.name = "ssd-dies-mid-session-setup"};
+    Schedule s;
+    s.name = "ssd-dies-mid-session-setup";
     s.plan.crashes = {KthSendKill(kSsdId, 3)};
     all.push_back(s);
   }
@@ -145,7 +150,8 @@ std::vector<Schedule> Schedules() {
     // Fifth send is the open reply: dead before the session finishes, and
     // the silicon never comes back. The app has not bound a provider yet, so
     // it burns its bounded retry budget rather than learning of quarantine.
-    Schedule s{.name = "ssd-dies-early-never-returns"};
+    Schedule s;
+    s.name = "ssd-dies-early-never-returns";
     s.plan.crashes = {KthSendKill(kSsdId, 5, Respawn::kNever)};
     s.expect_ssd_quarantine = true;
     all.push_back(s);
@@ -153,24 +159,28 @@ std::vector<Schedule> Schedules() {
   {
     // The second kill lands inside the KVS bring-up retry window, i.e. a
     // crash during crash recovery.
-    Schedule s{.name = "ssd-dies-again-during-kvs-recovery"};
+    Schedule s;
+    s.name = "ssd-dies-again-during-kvs-recovery";
     s.plan.crashes = {TimeKill(kSsdId, 300), TimeKill(kSsdId, 850)};
     all.push_back(s);
   }
   {
-    Schedule s{.name = "nic-transient"};
+    Schedule s;
+    s.name = "nic-transient";
     s.plan.crashes = {TimeKill(kNicId, 400)};
     all.push_back(s);
   }
   {
-    Schedule s{.name = "memctrl-transient"};
+    Schedule s;
+    s.name = "memctrl-transient";
     s.plan.crashes = {TimeKill(kMemctrlId, 500)};
     all.push_back(s);
   }
   {
     // Each episode recovers, but the third failure inside the sliding window
     // trips the crash-loop detector rather than the attempt budget.
-    Schedule s{.name = "ssd-crash-loops-into-quarantine"};
+    Schedule s;
+    s.name = "ssd-crash-loops-into-quarantine";
     s.plan.crashes = {TimeKill(kSsdId, 300), TimeKill(kSsdId, 600), TimeKill(kSsdId, 900),
                       TimeKill(kSsdId, 1200)};
     s.policy.max_restart_attempts = 10;
@@ -183,7 +193,8 @@ std::vector<Schedule> Schedules() {
     // state is gone, in-flight NAND programs tear, and the drive must come
     // back by replaying its on-media mapping journal. Every acked Put must
     // survive the replay; un-acked ones must complete (failed), not hang.
-    Schedule s{.name = "ssd-power-cut-transient"};
+    Schedule s;
+    s.name = "ssd-power-cut-transient";
     s.plan.crashes = {PowerCutAt(kSsdId, 300)};
     s.expect_recovery = true;
     all.push_back(s);
@@ -193,7 +204,8 @@ std::vector<Schedule> Schedules() {
     // sustained hot-key overwrite: garbage collection is active by then, so
     // the cut lands among GC relocations and meta flushes mid-page — the
     // window where a mapping legitimately exists in two places at once.
-    Schedule s{.name = "ssd-power-cut-mid-gc"};
+    Schedule s;
+    s.name = "ssd-power-cut-mid-gc";
     s.plan.crashes = {PowerCutOnProgram(kSsdId, 150)};
     s.small_ssd = true;
     s.overwrite_puts = 160;
@@ -204,7 +216,8 @@ std::vector<Schedule> Schedules() {
   {
     // Two rail drops, the second landing inside the KVS bring-up retry
     // window: a power cut during power-cut recovery.
-    Schedule s{.name = "ssd-power-cut-double"};
+    Schedule s;
+    s.name = "ssd-power-cut-double";
     s.plan.crashes = {PowerCutAt(kSsdId, 300), PowerCutAt(kSsdId, 850)};
     s.expect_recovery = true;
     all.push_back(s);
@@ -214,7 +227,8 @@ std::vector<Schedule> Schedules() {
     // The magazine's regions are leases (owned allocations in the memory
     // controller's table), so the quarantine reclaim path must free every
     // one of them — zero stranded grants, zero stranded allocations.
-    Schedule s{.name = "magazine-holder-never-returns"};
+    Schedule s;
+    s.name = "magazine-holder-never-returns";
     s.plan.crashes = {TimeKill(kStubId, 600, Respawn::kNever)};
     s.magazine_holder = true;
     all.push_back(s);

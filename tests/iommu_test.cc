@@ -8,6 +8,7 @@
 #include "src/iommu/page_table.h"
 #include "src/iommu/tlb.h"
 #include "src/sim/rng.h"
+#include "tests/alloc_counter.h"
 
 namespace lastcpu::iommu {
 namespace {
@@ -60,6 +61,33 @@ TEST(PageTableTest, NodesPrunedOnUnmap) {
   ASSERT_TRUE(table.Unmap(0).ok());
   ASSERT_TRUE(table.Unmap(uint64_t{5} << 18).ok());
   EXPECT_EQ(table.node_count(), baseline_nodes);
+}
+
+TEST(PageTableTest, RefilledTableMatchesFreshOne) {
+  PageTable table;
+  uint64_t baseline_nodes = table.node_count();
+  uint64_t far = uint64_t{5} << 18;
+  uint64_t filled_nodes = 0;
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    ASSERT_TRUE(table.Map(0, 1, Access::kRead).ok());
+    ASSERT_TRUE(table.Map(far, 2, Access::kReadWrite).ok());
+    if (cycle == 0) {
+      filled_nodes = table.node_count();
+    }
+    EXPECT_EQ(table.node_count(), filled_nodes);
+    EXPECT_EQ(table.mapped_pages(), 2u);
+    EXPECT_EQ(table.Lookup(far)->pframe, 2u);
+    EXPECT_EQ(table.Lookup(far)->access, Access::kReadWrite);
+    EXPECT_EQ(table.Map(far, 3, Access::kRead).code(), StatusCode::kAlreadyExists);
+    ASSERT_TRUE(table.Unmap(0).ok());
+    ASSERT_TRUE(table.Unmap(far).ok());
+    EXPECT_EQ(table.node_count(), baseline_nodes);
+    EXPECT_EQ(table.mapped_pages(), 0u);
+    // Recycled nodes hold no stale entries.
+    EXPECT_EQ(table.Lookup(far).status().code(), StatusCode::kNotFound);
+    EXPECT_EQ(table.Lookup(far + 1).status().code(), StatusCode::kNotFound);
+    EXPECT_EQ(table.Unmap(far).code(), StatusCode::kNotFound);
+  }
 }
 
 TEST(PageTableTest, SetAccessNarrowsPermissions) {
@@ -213,6 +241,56 @@ TEST_F(IommuTest, UnmapShootsDownTlb) {
   ASSERT_TRUE(iommu_.Unmap(key_, Pasid(1), 0x10).ok());
   // Must fault, not serve the stale TLB entry.
   EXPECT_FALSE(iommu_.Translate(Pasid(1), va, Access::kRead).ok());
+}
+
+TEST_F(IommuTest, EmptiedAddressSpaceBehavesLikeFreshOne) {
+  std::vector<FaultInfo::Kind> faults;
+  iommu_.SetFaultHandler([&](const FaultInfo& info) { faults.push_back(info.kind); });
+  VirtAddr va(0x10 << kPageShift);
+  // Pasid 2 was never mapped; pasid 1 is mapped, cached in the TLB, emptied.
+  ASSERT_TRUE(iommu_.Map(key_, Pasid(1), 0x10, 0x99, Access::kRead).ok());
+  ASSERT_TRUE(iommu_.Translate(Pasid(1), va, Access::kRead).ok());
+  ASSERT_TRUE(iommu_.Unmap(key_, Pasid(1), 0x10).ok());
+
+  for (Pasid pasid : {Pasid(1), Pasid(2)}) {
+    SCOPED_TRACE(pasid.value());
+    EXPECT_EQ(iommu_.mapped_pages(pasid), 0u);
+    Status unmapped = iommu_.Unmap(key_, pasid, 0x10);
+    EXPECT_EQ(unmapped.code(), StatusCode::kNotFound);
+    EXPECT_EQ(unmapped.message(), "no such address space");
+    faults.clear();
+    auto translated = iommu_.Translate(pasid, va, Access::kRead);
+    ASSERT_FALSE(translated.ok());
+    EXPECT_EQ(translated.status().code(), StatusCode::kPermissionDenied);
+    EXPECT_EQ(faults, std::vector<FaultInfo::Kind>{FaultInfo::Kind::kNotMapped});
+  }
+
+  // Refilled: the new frame is served, by a walk, not the shot-down entry.
+  ASSERT_TRUE(iommu_.Map(key_, Pasid(1), 0x10, 0x77, Access::kReadWrite).ok());
+  EXPECT_EQ(iommu_.mapped_pages(Pasid(1)), 1u);
+  auto t = iommu_.Translate(Pasid(1), va, Access::kWrite);
+  ASSERT_TRUE(t.ok());
+  EXPECT_EQ(t->paddr.raw, uint64_t{0x77} << kPageShift);
+  EXPECT_FALSE(t->tlb_hit);
+  EXPECT_EQ(iommu_.Unmap(key_, Pasid(1), 0x11).message(), "page not mapped");
+  EXPECT_EQ(iommu_.mapped_pages(Pasid(2)), 0u);
+}
+
+TEST_F(IommuTest, RefillAfterEmptyingAllocatesNoTableNodes) {
+  uint64_t far = uint64_t{5} << 18;
+  auto fill_and_empty = [&](Pasid pasid) {
+    ASSERT_TRUE(iommu_.Map(key_, pasid, 0x10, 0x99, Access::kReadWrite).ok());
+    ASSERT_TRUE(iommu_.Map(key_, pasid, far, 0x9A, Access::kRead).ok());
+    ASSERT_TRUE(iommu_.Unmap(key_, pasid, 0x10).ok());
+    ASSERT_TRUE(iommu_.Unmap(key_, pasid, far).ok());
+  };
+  uint64_t before_first = alloc_counter::LargeBlocks();
+  fill_and_empty(Pasid(1));
+  ASSERT_GT(alloc_counter::LargeBlocks(), before_first);  // the counter sees table nodes
+  uint64_t before_second = alloc_counter::LargeBlocks();
+  fill_and_empty(Pasid(1));
+  fill_and_empty(Pasid(2));  // an emptied table serves another address space
+  EXPECT_EQ(alloc_counter::LargeBlocks(), before_second);
 }
 
 TEST_F(IommuTest, RemoveAddressSpaceDropsEverything) {

@@ -426,5 +426,60 @@ TEST_F(KvsMachineTest, TeardownReclaimsApplicationMemory) {
   EXPECT_EQ(ssd_->iommu().mapped_pages(app_pasid_), 0u);
 }
 
+// A compaction that runs the drive out of space fails on an append of its
+// own session, so the abort runs inside that session's completion. The
+// engine must come through it serving the old generation.
+TEST(KvsCompactionTest, FailedCompactionAppendLeavesEngineServing) {
+  core::Machine machine;
+  machine.AddMemoryController();
+  ssddev::SmartSsdConfig ssd_config;
+  ssd_config.host_auth_service = false;
+  ssd_config.nand.dies = 2;
+  ssd_config.nand.blocks_per_die = 8;
+  ssd_config.nand.pages_per_block = 8;
+  // Half the NAND is spare, so the filesystem fills while the FTL still has
+  // free blocks for the clean-up.
+  ssd_config.ftl.over_provisioning = 0.5;
+  ssddev::SmartSsd& ssd = machine.AddSmartSsd(ssd_config);
+  nicdev::SmartNic& nic = machine.AddSmartNic();
+  ssd.ProvisionFile("kv.log", {});
+  auto app = std::make_unique<KvsApp>(&nic, machine.NewApplication("kvs"));
+  KvsEngine& engine = app->engine();
+  nic.LoadApp(std::move(app));
+  machine.Boot();
+  ASSERT_TRUE(engine.running());
+
+  auto put = [&](const std::string& key, std::vector<uint8_t> value) {
+    std::optional<Status> status;
+    engine.Put(key, std::move(value), [&](Status s) { status = s; });
+    machine.RunUntilIdle();
+    return status.value_or(Internal("put never completed"));
+  };
+  // Distinct keys keep every record live. Stop once the free space can no
+  // longer hold a copy of the log.
+  for (int i = 0; ssd.fs().free_pages() * ssd_config.nand.page_bytes > engine.log_tail_bytes();
+       ++i) {
+    ASSERT_TRUE(put("key" + std::to_string(i), std::vector<uint8_t>(1024, static_cast<uint8_t>(i)))
+                    .ok());
+  }
+
+  std::optional<Status> compacted;
+  engine.CompactNow([&](Status s) { compacted = s; });
+  machine.RunUntilIdle();
+  ASSERT_TRUE(compacted.has_value());
+  EXPECT_EQ(compacted->code(), StatusCode::kResourceExhausted) << compacted->ToString();
+  EXPECT_EQ(engine.stats().GetCounter("compactions_aborted").value(), 1u);
+  EXPECT_FALSE(engine.compacting());
+  EXPECT_EQ(engine.generation(), 0u);
+  EXPECT_FALSE(ssd.fs().Exists("kv.log.1"));
+
+  std::optional<Result<std::vector<uint8_t>>> got;
+  engine.Get("key1", [&](Result<std::vector<uint8_t>> r) { got = std::move(r); });
+  machine.RunUntilIdle();
+  ASSERT_TRUE(got.has_value() && got->ok());
+  EXPECT_EQ(**got, std::vector<uint8_t>(1024, 1));
+  EXPECT_TRUE(put("key1", {1, 2, 3}).ok());
+}
+
 }  // namespace
 }  // namespace lastcpu::kvs

@@ -1,7 +1,9 @@
 // Physical memory and buddy allocator tests, including property-style sweeps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -45,6 +47,68 @@ TEST(PhysicalMemoryTest, OutOfRangeAborts) {
   std::vector<uint8_t> data(16);
   EXPECT_DEATH(memory.Write(PhysAddr(kPageSize - 8), data), "out of range");
 }
+
+TEST(PhysicalMemoryTest, AccessWrappingPastTopOfAddressSpaceAborts) {
+  // addr + len wraps to 4 here, which a naive end-address check accepts.
+  PhysicalMemory memory(kPageSize);
+  std::vector<uint8_t> data(8);
+  EXPECT_DEATH(memory.Write(PhysAddr(UINT64_MAX - 3), data), "out of range");
+  EXPECT_DEATH(memory.Read(PhysAddr(UINT64_MAX - 3), data), "out of range");
+}
+
+// Property test: every write path, against a plain byte-vector shadow. A
+// path that failed to mark its frame as written would let ZeroFrame skip
+// it, leaking one application's bytes to the frame's next owner.
+class PhysicalMemoryPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PhysicalMemoryPropertyTest, MatchesByteShadowAcrossWritesAndZeroing) {
+  sim::Rng rng(GetParam());
+  constexpr uint64_t kFrames = 16;
+  PhysicalMemory memory(kFrames * kPageSize);
+  std::vector<uint8_t> shadow(kFrames * kPageSize, 0);
+  std::vector<uint8_t> seen(shadow.size());
+
+  for (int step = 0; step < 3000; ++step) {
+    uint64_t kind = rng.NextBelow(4);
+    if (kind == 0) {
+      // Usually a short run; one in four spans up to two frame boundaries.
+      uint64_t max_len = rng.NextBool(0.25) ? 2 * kPageSize : 64;
+      uint64_t addr = rng.NextBelow(shadow.size());
+      uint64_t len = std::min(rng.NextInRange(1, max_len), shadow.size() - addr);
+      std::vector<uint8_t> data(len);
+      rng.Fill(data);
+      memory.Write(PhysAddr(addr), data);
+      std::copy(data.begin(), data.end(), shadow.begin() + static_cast<ptrdiff_t>(addr));
+    } else if (kind == 1) {
+      uint64_t addr = rng.NextBelow(shadow.size());
+      auto value = static_cast<uint8_t>(rng.NextInRange(1, 255));
+      memory.WriteByte(PhysAddr(addr), value);
+      shadow[addr] = value;
+    } else if (kind == 2) {
+      uint64_t addr = rng.NextBelow(shadow.size() - 7);
+      uint64_t value = rng.NextU64();
+      memory.WriteU64(PhysAddr(addr), value);
+      for (int i = 0; i < 8; ++i) {
+        shadow[addr + static_cast<uint64_t>(i)] = static_cast<uint8_t>(value >> (8 * i));
+      }
+    } else {
+      uint64_t frame = rng.NextBelow(kFrames);
+      memory.ZeroFrame(frame);
+      std::fill_n(shadow.begin() + static_cast<ptrdiff_t>(frame * kPageSize), kPageSize, 0);
+    }
+    memory.Read(PhysAddr(0), seen);
+    ASSERT_EQ(seen, shadow) << "diverged at step " << step;
+    uint64_t probe = rng.NextBelow(shadow.size() - 7);
+    ASSERT_EQ(memory.ReadByte(PhysAddr(probe)), shadow[probe]);
+    uint64_t word = 0;
+    for (int i = 7; i >= 0; --i) {
+      word = (word << 8) | shadow[probe + static_cast<uint64_t>(i)];
+    }
+    ASSERT_EQ(memory.ReadU64(PhysAddr(probe)), word);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PhysicalMemoryPropertyTest, ::testing::Values(1, 7, 42, 1234));
 
 TEST(BuddyTest, AllocatesDistinctBlocks) {
   BuddyAllocator buddy(64);
