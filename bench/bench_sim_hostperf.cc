@@ -37,13 +37,14 @@ constexpr sim::Duration kBatchWindow = sim::Duration::Micros(250);
 KvsRig BuildRig(bool batched) {
   core::MachineConfig machine_config;
   kvs::KvsAppConfig app_config;
+  ssddev::SmartSsdConfig ssd_config;
+  ssd_config.host_auth_service = false;
   if (batched) {
     machine_config.fabric.doorbell_coalesce_window = kBatchWindow;
-    machine_config.fast_path.submit_batch_window = kBatchWindow;
-    machine_config.fast_path.completion_batch_window = kBatchWindow;
     app_config.engine.file_client.submit_batch_window = kBatchWindow;
+    ssd_config.file_service.completion_batch_window = kBatchWindow;
   }
-  return KvsRig::Build(machine_config, app_config);
+  return KvsRig::Build(machine_config, app_config, ssd_config);
 }
 
 void RunBurst(benchmark::State& state, bool batched) {

@@ -7,39 +7,6 @@
 #include "src/proto/codec.h"
 
 namespace lastcpu::bus {
-namespace {
-
-// Response-shaped message kinds: correlated replies that must never be
-// error-bounced back at their sender (the requester is on the other side of
-// the severed link; bouncing would masquerade as a reply to nothing).
-bool IsResponseMessage(proto::MessageType type) {
-  switch (type) {
-    case proto::MessageType::kDiscoverResponse:
-    case proto::MessageType::kOpenResponse:
-    case proto::MessageType::kCloseResponse:
-    case proto::MessageType::kMemAllocResponse:
-    case proto::MessageType::kMemFreeResponse:
-    case proto::MessageType::kGrantResponse:
-    case proto::MessageType::kRevokeResponse:
-    case proto::MessageType::kLoadImageResponse:
-    case proto::MessageType::kAuthResponse:
-    case proto::MessageType::kErrorResponse:
-    case proto::MessageType::kMapConfirm:
-    case proto::MessageType::kAttachQueueResponse:
-    case proto::MessageType::kFileAdminResponse:
-    case proto::MessageType::kFileListResponse:
-    case proto::MessageType::kMemAllocBatchResponse:
-    case proto::MessageType::kMemFreeBatchResponse:
-    case proto::MessageType::kShardDirectoryResponse:
-    case proto::MessageType::kLeaseReassertResponse:
-      return true;
-    default:
-      return false;
-  }
-}
-
-}  // namespace
-
 void BusPort::Send(proto::Message message) { bus_->SendFromPort(id_, std::move(message)); }
 
 SystemBus::SystemBus(sim::Simulator* simulator, BusConfig config, sim::TraceLog* trace)
@@ -312,7 +279,7 @@ void SystemBus::HandlePartitioned(proto::Message message, uint32_t src_segment,
   // severed. Requests fail fast with the distinct kPartitioned status so the
   // sender can spill to segment-local resources instead of burning a timeout.
   bool is_request =
-      !from_broadcast && message.request_id.valid() && !IsResponseMessage(message.type());
+      !from_broadcast && message.request_id.valid() && !proto::IsResponse(message.type());
   if (is_request) {
     stats_.GetCounter("partition_fail_fast").Increment();
     tracer_.FlowReceive(proto::MessageTypeName(message.type()), message.trace.flow,

@@ -22,8 +22,8 @@
 #include "src/base/status.h"
 #include "src/base/types.h"
 #include "src/baseline/central_kernel.h"
-#include "src/core/fast_path.h"
 #include "src/dev/device.h"
+#include "src/sim/time.h"
 
 namespace lastcpu::core {
 
@@ -243,6 +243,22 @@ class KernelControlClient : public ControlClient {
  private:
   baseline::CentralKernel* kernel_;
   DeviceId self_;
+};
+
+// Grant-magazine sizing. Off by default: a disabled magazine forwards every
+// call to its inner client, reproducing the unbatched per-op round trips.
+struct MagazineConfig {
+  bool enabled = false;
+  // Regions requested per AllocBatch refill.
+  uint32_t refill_batch = 32;
+  // Steady-state stock level a drain trims back down to.
+  uint32_t capacity = 32;
+  // Refill when the stock drops below this many regions.
+  uint32_t low_watermark = 8;
+  // Drain when recycled frees push the stock above this many regions.
+  uint32_t high_watermark = 64;
+  // Modeled cost of a local hit (magazine bookkeeping in device firmware).
+  sim::Duration hit_latency = sim::Duration::Nanos(40);
 };
 
 // The grant-magazine fast path: a decorator over either client that caches

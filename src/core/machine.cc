@@ -100,9 +100,6 @@ memdev::MemoryController& Machine::AddMemoryController(memdev::MemoryControllerC
 }
 
 ssddev::SmartSsd& Machine::AddSmartSsd(ssddev::SmartSsdConfig config) {
-  if (config.file_service.completion_batch_window <= sim::Duration::Zero()) {
-    config.file_service.completion_batch_window = config_.fast_path.completion_batch_window;
-  }
   auto device = std::make_unique<ssddev::SmartSsd>(NextDeviceId(), Context(), config);
   auto& ref = *device;
   devices_.push_back(std::move(device));

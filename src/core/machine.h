@@ -24,7 +24,6 @@
 
 #include "src/bus/system_bus.h"
 #include "src/core/control_plane.h"
-#include "src/core/fast_path.h"
 #include "src/dev/device.h"
 #include "src/fabric/fabric.h"
 #include "src/mem/physical_memory.h"
@@ -68,10 +67,6 @@ struct MachineConfig {
   // default empty plan builds no injector. The injector is constructed at
   // Boot(), so the plan must name devices added before then.
   sim::CrashPlan crash_plan;
-  // Batching/caching fast paths (off by default; see src/core/fast_path.h).
-  // AddSmartSsd seeds its FileService completion window from here, and apps
-  // consult it for client-side knobs via Machine::fast_path().
-  FastPathConfig fast_path;
   // Rack topology. bus.segments is raised to topology.segments at
   // construction so the two never disagree.
   TopologySpec topology;
@@ -97,7 +92,6 @@ class Machine {
   fabric::Fabric& fabric() { return fabric_; }
   bus::SystemBus& bus() { return bus_; }
   net::Network& network() { return network_; }
-  const FastPathConfig& fast_path() const { return config_.fast_path; }
   dev::DeviceContext Context() { return dev::DeviceContext{&simulator_, &bus_, &fabric_, &trace_}; }
 
   // --- device assembly --------------------------------------------------------

@@ -7,38 +7,6 @@
 #include "src/dev/service.h"
 
 namespace lastcpu::dev {
-namespace {
-
-// Response kinds complete a pending request; request kinds dispatch to
-// handlers even when they carry a request id.
-bool IsResponseType(proto::MessageType type) {
-  switch (type) {
-    case proto::MessageType::kDiscoverResponse:
-    case proto::MessageType::kOpenResponse:
-    case proto::MessageType::kCloseResponse:
-    case proto::MessageType::kMemAllocResponse:
-    case proto::MessageType::kMemFreeResponse:
-    case proto::MessageType::kGrantResponse:
-    case proto::MessageType::kRevokeResponse:
-    case proto::MessageType::kLoadImageResponse:
-    case proto::MessageType::kAuthResponse:
-    case proto::MessageType::kErrorResponse:
-    case proto::MessageType::kMapConfirm:
-    case proto::MessageType::kAttachQueueResponse:
-    case proto::MessageType::kFileAdminResponse:
-    case proto::MessageType::kFileListResponse:
-    case proto::MessageType::kMemAllocBatchResponse:
-    case proto::MessageType::kMemFreeBatchResponse:
-    case proto::MessageType::kShardDirectoryResponse:
-    case proto::MessageType::kLeaseReassertResponse:
-      return true;
-    default:
-      return false;
-  }
-}
-
-}  // namespace
-
 Device::Device(DeviceId id, std::string name, const DeviceContext& context, DeviceConfig config)
     : id_(id),
       name_(std::move(name)),
@@ -263,7 +231,7 @@ void Device::Dispatch(const proto::Message& message, sim::SpanId span) {
   messages_received_.Increment();
 
   // Responses to our outstanding requests route into the transaction layer.
-  if (message.request_id.valid() && IsResponseType(message.type())) {
+  if (message.request_id.valid() && proto::IsResponse(message.type())) {
     if (!rpc_.HandleResponse(message)) {
       // Late duplicate or a response to an attempt that already timed out.
       stats_.GetCounter("orphan_responses").Increment();
@@ -273,7 +241,7 @@ void Device::Dispatch(const proto::Message& message, sim::SpanId span) {
 
   // Inbound requests pass the at-most-once replay guard before any handler
   // runs; duplicates (injected or retransmitted) never execute twice.
-  if (message.request_id.valid() && !IsResponseType(message.type())) {
+  if (message.request_id.valid() && !proto::IsResponse(message.type())) {
     if (!RegisterRequest(message)) {
       return;
     }
@@ -416,7 +384,7 @@ void Device::HandleClose(const proto::Message& message) {
 
 void Device::OnMessage(const proto::Message& message) {
   stats_.GetCounter("unhandled_messages").Increment();
-  if (message.request_id.valid() && !IsResponseType(message.type())) {
+  if (message.request_id.valid() && !proto::IsResponse(message.type())) {
     ReplyError(message, Unimplemented(name_ + " does not handle " +
                                       std::string(proto::MessageTypeName(message.type()))));
   }

@@ -1,5 +1,8 @@
 #include "src/proto/codec.h"
 
+#include <array>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 
 namespace lastcpu::proto {
@@ -10,743 +13,197 @@ constexpr uint8_t kMagic0 = 0x4C;
 constexpr uint8_t kMagic1 = 0x43;
 constexpr uint8_t kVersion = 1;
 
-void PutAccess(ByteWriter& w, Access access) { w.PutU8(static_cast<uint8_t>(access)); }
+// Header: magic(2) + version(1) + type(2) + src(4) + dst(4) + reqid(8) +
+// payload length prefix(4).
+constexpr size_t kHeaderBytes = 25;
 
-Result<Access> GetAccess(ByteReader& r) {
-  auto v = r.GetU8();
-  if (!v.ok()) {
-    return v.status();
-  }
-  if (*v > 0x7) {
-    return InvalidArgument("bad access bits");
-  }
-  return static_cast<Access>(*v);
-}
+// --- field codecs -------------------------------------------------------------
+//
+// A payload is its Fields() in order, with nothing in between. Each field type
+// has one Put and one Get below:
+//   - fixed-width unsigned ints, little-endian; bool as one byte (0 or 1);
+//   - one-byte enums, range-checked on decode;
+//   - TypedId as its integer, VirtAddr as its u64;
+//   - std::string as a u32 length plus the bytes;
+//   - std::vector<T> as a u32 count plus the elements;
+//   - nested structs as their own Fields().
+// Put writes to a ByteWriter, or to a ByteCounter to size a message without
+// building it. Get rejects truncation, out-of-range enums, and element counts
+// the remaining bytes cannot hold.
 
-void PutServiceDescriptor(ByteWriter& w, const ServiceDescriptor& d) {
-  w.PutU32(d.provider.value());
-  w.PutU8(static_cast<uint8_t>(d.type));
-  w.PutString(d.name);
-  w.PutU32(d.max_instances);
-}
+// Counts the bytes a ByteWriter would receive.
+class ByteCounter {
+ public:
+  constexpr void PutU8(uint8_t) { size_ += 1; }
+  constexpr void PutU16(uint16_t) { size_ += 2; }
+  constexpr void PutU32(uint32_t) { size_ += 4; }
+  constexpr void PutU64(uint64_t) { size_ += 8; }
+  constexpr void PutString(const std::string& s) { size_ += 4 + s.size(); }
 
-Result<ServiceDescriptor> GetServiceDescriptor(ByteReader& r) {
-  ServiceDescriptor d;
-  auto provider = r.GetU32();
-  if (!provider.ok()) {
-    return provider.status();
-  }
-  d.provider = DeviceId(*provider);
-  auto type = r.GetU8();
-  if (!type.ok()) {
-    return type.status();
-  }
-  if (*type > static_cast<uint8_t>(ServiceType::kKeyValue)) {
-    return InvalidArgument("bad service type");
-  }
-  d.type = static_cast<ServiceType>(*type);
-  auto name = r.GetString();
-  if (!name.ok()) {
-    return name.status();
-  }
-  d.name = *std::move(name);
-  auto max_instances = r.GetU32();
-  if (!max_instances.ok()) {
-    return max_instances.status();
-  }
-  d.max_instances = *max_instances;
-  return d;
-}
+  constexpr size_t size() const { return size_; }
 
-void PutMapEntries(ByteWriter& w, const std::vector<MapEntry>& entries) {
-  w.PutU32(static_cast<uint32_t>(entries.size()));
-  for (const MapEntry& e : entries) {
-    w.PutU64(e.vpage);
-    w.PutU64(e.pframe);
-    PutAccess(w, e.access);
-  }
-}
-
-void PutVirtAddrs(ByteWriter& w, const std::vector<VirtAddr>& vaddrs) {
-  w.PutU32(static_cast<uint32_t>(vaddrs.size()));
-  for (const VirtAddr& v : vaddrs) {
-    w.PutU64(v.raw);
-  }
-}
-
-Result<std::vector<VirtAddr>> GetVirtAddrs(ByteReader& r) {
-  auto n = r.GetU32();
-  if (!n.ok()) {
-    return n.status();
-  }
-  // 8 bytes per address; reject counts the buffer cannot possibly hold.
-  if (static_cast<size_t>(*n) * 8 > r.remaining()) {
-    return InvalidArgument("vaddr count exceeds buffer");
-  }
-  std::vector<VirtAddr> vaddrs;
-  vaddrs.reserve(*n);
-  for (uint32_t i = 0; i < *n; ++i) {
-    auto raw = r.GetU64();
-    if (!raw.ok()) {
-      return raw.status();
-    }
-    vaddrs.push_back(VirtAddr(*raw));
-  }
-  return vaddrs;
-}
-
-// Bytes one encoded ShardRecord occupies (used in count-sanity checks).
-constexpr size_t kShardRecordBytes = 40;
-
-Result<ShardRecord> GetShardRecord(ByteReader& r) {
-  ShardRecord shard;
-  auto device = r.GetU32();
-  if (!device.ok()) {
-    return device.status();
-  }
-  shard.device = DeviceId(*device);
-  auto segment = r.GetU32();
-  if (!segment.ok()) {
-    return segment.status();
-  }
-  shard.segment = *segment;
-  auto va_base = r.GetU64();
-  if (!va_base.ok()) {
-    return va_base.status();
-  }
-  shard.va_base = *va_base;
-  auto va_limit = r.GetU64();
-  if (!va_limit.ok()) {
-    return va_limit.status();
-  }
-  shard.va_limit = *va_limit;
-  auto capacity = r.GetU64();
-  if (!capacity.ok()) {
-    return capacity.status();
-  }
-  shard.capacity_bytes = *capacity;
-  auto epoch = r.GetU64();
-  if (!epoch.ok()) {
-    return epoch.status();
-  }
-  shard.epoch = *epoch;
-  return shard;
-}
-
-Result<std::vector<MapEntry>> GetMapEntries(ByteReader& r) {
-  auto n = r.GetU32();
-  if (!n.ok()) {
-    return n.status();
-  }
-  // 17 bytes per entry; reject counts the buffer cannot possibly hold.
-  if (static_cast<size_t>(*n) * 17 > r.remaining()) {
-    return InvalidArgument("map entry count exceeds buffer");
-  }
-  std::vector<MapEntry> entries;
-  entries.reserve(*n);
-  for (uint32_t i = 0; i < *n; ++i) {
-    MapEntry e;
-    auto vpage = r.GetU64();
-    if (!vpage.ok()) {
-      return vpage.status();
-    }
-    e.vpage = *vpage;
-    auto pframe = r.GetU64();
-    if (!pframe.ok()) {
-      return pframe.status();
-    }
-    e.pframe = *pframe;
-    auto access = GetAccess(r);
-    if (!access.ok()) {
-      return access.status();
-    }
-    e.access = *access;
-    entries.push_back(e);
-  }
-  return entries;
-}
-
-// --- per-payload encoders --------------------------------------------------
-
-struct PayloadEncoder {
-  ByteWriter& w;
-
-  void operator()(const AliveAnnounce& p) {
-    w.PutString(p.device_name);
-    w.PutU32(static_cast<uint32_t>(p.services.size()));
-    for (const auto& s : p.services) {
-      PutServiceDescriptor(w, s);
-    }
-  }
-  void operator()(const DiscoverRequest& p) {
-    w.PutU8(static_cast<uint8_t>(p.type));
-    w.PutString(p.resource);
-  }
-  void operator()(const DiscoverResponse& p) { PutServiceDescriptor(w, p.descriptor); }
-  void operator()(const OpenRequest& p) {
-    w.PutString(p.service_name);
-    w.PutString(p.resource);
-    w.PutU64(p.auth_token);
-    w.PutU32(p.pasid.value());
-  }
-  void operator()(const OpenResponse& p) {
-    w.PutU64(p.instance.value());
-    w.PutU64(p.shared_bytes_required);
-    w.PutU16(p.queue_depth);
-  }
-  void operator()(const CloseRequest& p) { w.PutU64(p.instance.value()); }
-  void operator()(const CloseResponse&) {}
-  void operator()(const MemAllocRequest& p) {
-    w.PutU32(p.pasid.value());
-    w.PutU64(p.bytes);
-    w.PutU64(p.vaddr_hint.raw);
-    PutAccess(w, p.access);
-  }
-  void operator()(const MemAllocResponse& p) {
-    w.PutU64(p.vaddr.raw);
-    w.PutU64(p.bytes);
-    w.PutU64(p.first_frame);
-  }
-  void operator()(const MapDirective& p) {
-    w.PutU32(p.target.value());
-    w.PutU32(p.pasid.value());
-    PutMapEntries(w, p.entries);
-    w.PutU8(p.unmap ? 1 : 0);
-    w.PutU64(p.epoch);
-  }
-  void operator()(const MemFreeRequest& p) {
-    w.PutU32(p.pasid.value());
-    w.PutU64(p.vaddr.raw);
-    w.PutU64(p.bytes);
-  }
-  void operator()(const MemFreeResponse&) {}
-  void operator()(const GrantRequest& p) {
-    w.PutU32(p.pasid.value());
-    w.PutU64(p.vaddr.raw);
-    w.PutU64(p.bytes);
-    w.PutU32(p.grantee.value());
-    PutAccess(w, p.access);
-  }
-  void operator()(const GrantResponse&) {}
-  void operator()(const RevokeRequest& p) {
-    w.PutU32(p.pasid.value());
-    w.PutU64(p.vaddr.raw);
-    w.PutU64(p.bytes);
-    w.PutU32(p.grantee.value());
-  }
-  void operator()(const RevokeResponse&) {}
-  void operator()(const Notify& p) {
-    w.PutU64(p.instance.value());
-    w.PutU64(p.payload);
-  }
-  void operator()(const ResourceFailed& p) {
-    w.PutString(p.service_name);
-    w.PutU64(p.instance.value());
-    w.PutString(p.reason);
-  }
-  void operator()(const DeviceFailed& p) { w.PutU32(p.device.value()); }
-  void operator()(const ResetSignal&) {}
-  void operator()(const TeardownApp& p) { w.PutU32(p.pasid.value()); }
-  void operator()(const LoadImage& p) {
-    w.PutString(p.app_name);
-    w.PutBytes(p.image);
-    w.PutU64(p.auth_token);
-  }
-  void operator()(const LoadImageResponse&) {}
-  void operator()(const AuthRequest& p) {
-    w.PutString(p.user);
-    w.PutString(p.secret);
-  }
-  void operator()(const AuthResponse& p) {
-    w.PutU64(p.token);
-    w.PutU64(p.expiry_nanos);
-  }
-  void operator()(const ErrorResponse& p) {
-    w.PutU8(static_cast<uint8_t>(p.code));
-    w.PutString(p.message);
-  }
-  void operator()(const MapConfirm& p) {
-    w.PutU32(p.target.value());
-    w.PutU32(p.pasid.value());
-  }
-  void operator()(const AttachQueue& p) {
-    w.PutU64(p.instance.value());
-    w.PutU64(p.base.raw);
-  }
-  void operator()(const AttachQueueResponse&) {}
-  void operator()(const Heartbeat&) {}
-  void operator()(const FileCreate& p) {
-    w.PutString(p.name);
-    w.PutU64(p.auth_token);
-  }
-  void operator()(const FileDelete& p) {
-    w.PutString(p.name);
-    w.PutU64(p.auth_token);
-  }
-  void operator()(const FileAdminResponse&) {}
-  void operator()(const FileList& p) { w.PutU64(p.auth_token); }
-  void operator()(const FileListResponse& p) {
-    w.PutU32(static_cast<uint32_t>(p.names.size()));
-    for (const auto& name : p.names) {
-      w.PutString(name);
-    }
-  }
-  void operator()(const DevicePermanentlyFailed& p) {
-    w.PutU32(p.device.value());
-    w.PutString(p.reason);
-  }
-  void operator()(const MemAllocBatchRequest& p) {
-    w.PutU32(p.pasid.value());
-    w.PutU64(p.bytes);
-    w.PutU32(p.count);
-    PutAccess(w, p.access);
-  }
-  void operator()(const MemAllocBatchResponse& p) {
-    PutVirtAddrs(w, p.vaddrs);
-    w.PutU64(p.bytes);
-    w.PutU32(static_cast<uint32_t>(p.first_frames.size()));
-    for (uint64_t frame : p.first_frames) {
-      w.PutU64(frame);
-    }
-  }
-  void operator()(const MemFreeBatchRequest& p) {
-    w.PutU32(p.pasid.value());
-    PutVirtAddrs(w, p.vaddrs);
-    w.PutU64(p.bytes);
-  }
-  void operator()(const MemFreeBatchResponse&) {}
-  void operator()(const MemShardAnnounce& p) { PutShardRecord(w, p.shard); }
-  void operator()(const ShardDirectoryRequest&) {}
-  void operator()(const ShardDirectoryResponse& p) {
-    w.PutU32(static_cast<uint32_t>(p.shards.size()));
-    for (const auto& shard : p.shards) {
-      PutShardRecord(w, shard);
-    }
-  }
-
-  void operator()(const LeaseReassertRequest& p) {
-    w.PutU32(static_cast<uint32_t>(p.leases.size()));
-    for (const LeaseRecord& lease : p.leases) {
-      w.PutU32(lease.pasid.value());
-      w.PutU64(lease.vaddr.raw);
-      w.PutU64(lease.bytes);
-      w.PutU64(lease.first_frame);
-      PutAccess(w, lease.access);
-      w.PutU32(static_cast<uint32_t>(lease.grants.size()));
-      for (const LeaseGrant& grant : lease.grants) {
-        w.PutU32(grant.grantee.value());
-        PutAccess(w, grant.access);
-      }
-    }
-  }
-  void operator()(const LeaseReassertResponse& p) {
-    w.PutU32(p.accepted);
-    w.PutU32(p.rejected);
-    w.PutU64(p.epoch);
-  }
-
-  static void PutShardRecord(ByteWriter& w, const ShardRecord& shard) {
-    w.PutU32(shard.device.value());
-    w.PutU32(shard.segment);
-    w.PutU64(shard.va_base);
-    w.PutU64(shard.va_limit);
-    w.PutU64(shard.capacity_bytes);
-    w.PutU64(shard.epoch);
-  }
+ private:
+  size_t size_ = 0;
 };
 
-// --- per-payload decoders --------------------------------------------------
-//
-// Each returns Result<Payload>. A macro would obscure the bounds checks, so
-// these are spelled out; the round-trip tests cover every branch.
+template <typename T>
+concept WireStruct = requires(T& value) { T::Fields(value); };
 
-#define LASTCPU_READ(var, expr)  \
-  auto var = (expr);             \
-  if (!var.ok()) {               \
-    return var.status();         \
-  }
-
-Result<Payload> DecodePayload(MessageType type, ByteReader& r) {
-  switch (type) {
-    case MessageType::kAliveAnnounce: {
-      AliveAnnounce p;
-      LASTCPU_READ(name, r.GetString());
-      p.device_name = *std::move(name);
-      LASTCPU_READ(n, r.GetU32());
-      if (static_cast<size_t>(*n) * 10 > r.remaining()) {
-        return InvalidArgument("service count exceeds buffer");
-      }
-      for (uint32_t i = 0; i < *n; ++i) {
-        LASTCPU_READ(d, GetServiceDescriptor(r));
-        p.services.push_back(*std::move(d));
-      }
-      return Payload(std::move(p));
-    }
-    case MessageType::kDiscoverRequest: {
-      DiscoverRequest p;
-      LASTCPU_READ(t, r.GetU8());
-      if (*t > static_cast<uint8_t>(ServiceType::kKeyValue)) {
-        return InvalidArgument("bad service type");
-      }
-      p.type = static_cast<ServiceType>(*t);
-      LASTCPU_READ(resource, r.GetString());
-      p.resource = *std::move(resource);
-      return Payload(std::move(p));
-    }
-    case MessageType::kDiscoverResponse: {
-      LASTCPU_READ(d, GetServiceDescriptor(r));
-      return Payload(DiscoverResponse{*std::move(d)});
-    }
-    case MessageType::kOpenRequest: {
-      OpenRequest p;
-      LASTCPU_READ(service, r.GetString());
-      p.service_name = *std::move(service);
-      LASTCPU_READ(resource, r.GetString());
-      p.resource = *std::move(resource);
-      LASTCPU_READ(token, r.GetU64());
-      p.auth_token = *token;
-      LASTCPU_READ(pasid, r.GetU32());
-      p.pasid = Pasid(*pasid);
-      return Payload(std::move(p));
-    }
-    case MessageType::kOpenResponse: {
-      OpenResponse p;
-      LASTCPU_READ(instance, r.GetU64());
-      p.instance = InstanceId(*instance);
-      LASTCPU_READ(bytes, r.GetU64());
-      p.shared_bytes_required = *bytes;
-      LASTCPU_READ(depth, r.GetU16());
-      p.queue_depth = *depth;
-      return Payload(p);
-    }
-    case MessageType::kCloseRequest: {
-      LASTCPU_READ(instance, r.GetU64());
-      return Payload(CloseRequest{InstanceId(*instance)});
-    }
-    case MessageType::kCloseResponse:
-      return Payload(CloseResponse{});
-    case MessageType::kMemAllocRequest: {
-      MemAllocRequest p;
-      LASTCPU_READ(pasid, r.GetU32());
-      p.pasid = Pasid(*pasid);
-      LASTCPU_READ(bytes, r.GetU64());
-      p.bytes = *bytes;
-      LASTCPU_READ(hint, r.GetU64());
-      p.vaddr_hint = VirtAddr(*hint);
-      LASTCPU_READ(access, GetAccess(r));
-      p.access = *access;
-      return Payload(p);
-    }
-    case MessageType::kMemAllocResponse: {
-      MemAllocResponse p;
-      LASTCPU_READ(vaddr, r.GetU64());
-      p.vaddr = VirtAddr(*vaddr);
-      LASTCPU_READ(bytes, r.GetU64());
-      p.bytes = *bytes;
-      LASTCPU_READ(frame, r.GetU64());
-      p.first_frame = *frame;
-      return Payload(p);
-    }
-    case MessageType::kMapDirective: {
-      MapDirective p;
-      LASTCPU_READ(target, r.GetU32());
-      p.target = DeviceId(*target);
-      LASTCPU_READ(pasid, r.GetU32());
-      p.pasid = Pasid(*pasid);
-      LASTCPU_READ(entries, GetMapEntries(r));
-      p.entries = *std::move(entries);
-      LASTCPU_READ(unmap, r.GetU8());
-      p.unmap = (*unmap != 0);
-      LASTCPU_READ(epoch, r.GetU64());
-      p.epoch = *epoch;
-      return Payload(std::move(p));
-    }
-    case MessageType::kMemFreeRequest: {
-      MemFreeRequest p;
-      LASTCPU_READ(pasid, r.GetU32());
-      p.pasid = Pasid(*pasid);
-      LASTCPU_READ(vaddr, r.GetU64());
-      p.vaddr = VirtAddr(*vaddr);
-      LASTCPU_READ(bytes, r.GetU64());
-      p.bytes = *bytes;
-      return Payload(p);
-    }
-    case MessageType::kMemFreeResponse:
-      return Payload(MemFreeResponse{});
-    case MessageType::kGrantRequest: {
-      GrantRequest p;
-      LASTCPU_READ(pasid, r.GetU32());
-      p.pasid = Pasid(*pasid);
-      LASTCPU_READ(vaddr, r.GetU64());
-      p.vaddr = VirtAddr(*vaddr);
-      LASTCPU_READ(bytes, r.GetU64());
-      p.bytes = *bytes;
-      LASTCPU_READ(grantee, r.GetU32());
-      p.grantee = DeviceId(*grantee);
-      LASTCPU_READ(access, GetAccess(r));
-      p.access = *access;
-      return Payload(p);
-    }
-    case MessageType::kGrantResponse:
-      return Payload(GrantResponse{});
-    case MessageType::kRevokeRequest: {
-      RevokeRequest p;
-      LASTCPU_READ(pasid, r.GetU32());
-      p.pasid = Pasid(*pasid);
-      LASTCPU_READ(vaddr, r.GetU64());
-      p.vaddr = VirtAddr(*vaddr);
-      LASTCPU_READ(bytes, r.GetU64());
-      p.bytes = *bytes;
-      LASTCPU_READ(grantee, r.GetU32());
-      p.grantee = DeviceId(*grantee);
-      return Payload(p);
-    }
-    case MessageType::kRevokeResponse:
-      return Payload(RevokeResponse{});
-    case MessageType::kNotify: {
-      Notify p;
-      LASTCPU_READ(instance, r.GetU64());
-      p.instance = InstanceId(*instance);
-      LASTCPU_READ(payload, r.GetU64());
-      p.payload = *payload;
-      return Payload(p);
-    }
-    case MessageType::kResourceFailed: {
-      ResourceFailed p;
-      LASTCPU_READ(service, r.GetString());
-      p.service_name = *std::move(service);
-      LASTCPU_READ(instance, r.GetU64());
-      p.instance = InstanceId(*instance);
-      LASTCPU_READ(reason, r.GetString());
-      p.reason = *std::move(reason);
-      return Payload(std::move(p));
-    }
-    case MessageType::kDeviceFailed: {
-      LASTCPU_READ(device, r.GetU32());
-      return Payload(DeviceFailed{DeviceId(*device)});
-    }
-    case MessageType::kResetSignal:
-      return Payload(ResetSignal{});
-    case MessageType::kTeardownApp: {
-      LASTCPU_READ(pasid, r.GetU32());
-      return Payload(TeardownApp{Pasid(*pasid)});
-    }
-    case MessageType::kLoadImage: {
-      LoadImage p;
-      LASTCPU_READ(name, r.GetString());
-      p.app_name = *std::move(name);
-      LASTCPU_READ(image, r.GetBytes());
-      p.image = *std::move(image);
-      LASTCPU_READ(token, r.GetU64());
-      p.auth_token = *token;
-      return Payload(std::move(p));
-    }
-    case MessageType::kLoadImageResponse:
-      return Payload(LoadImageResponse{});
-    case MessageType::kAuthRequest: {
-      AuthRequest p;
-      LASTCPU_READ(user, r.GetString());
-      p.user = *std::move(user);
-      LASTCPU_READ(secret, r.GetString());
-      p.secret = *std::move(secret);
-      return Payload(std::move(p));
-    }
-    case MessageType::kAuthResponse: {
-      AuthResponse p;
-      LASTCPU_READ(token, r.GetU64());
-      p.token = *token;
-      LASTCPU_READ(expiry, r.GetU64());
-      p.expiry_nanos = *expiry;
-      return Payload(p);
-    }
-    case MessageType::kErrorResponse: {
-      ErrorResponse p;
-      LASTCPU_READ(code, r.GetU8());
-      if (*code > static_cast<uint8_t>(StatusCode::kPartitioned)) {
-        return InvalidArgument("bad status code");
-      }
-      p.code = static_cast<StatusCode>(*code);
-      LASTCPU_READ(message, r.GetString());
-      p.message = *std::move(message);
-      return Payload(std::move(p));
-    }
-    case MessageType::kMapConfirm: {
-      MapConfirm p;
-      LASTCPU_READ(target, r.GetU32());
-      p.target = DeviceId(*target);
-      LASTCPU_READ(pasid, r.GetU32());
-      p.pasid = Pasid(*pasid);
-      return Payload(p);
-    }
-    case MessageType::kAttachQueue: {
-      AttachQueue p;
-      LASTCPU_READ(instance, r.GetU64());
-      p.instance = InstanceId(*instance);
-      LASTCPU_READ(base, r.GetU64());
-      p.base = VirtAddr(*base);
-      return Payload(p);
-    }
-    case MessageType::kAttachQueueResponse:
-      return Payload(AttachQueueResponse{});
-    case MessageType::kHeartbeat:
-      return Payload(Heartbeat{});
-    case MessageType::kFileCreate: {
-      FileCreate p;
-      LASTCPU_READ(name, r.GetString());
-      p.name = *std::move(name);
-      LASTCPU_READ(token, r.GetU64());
-      p.auth_token = *token;
-      return Payload(std::move(p));
-    }
-    case MessageType::kFileDelete: {
-      FileDelete p;
-      LASTCPU_READ(name, r.GetString());
-      p.name = *std::move(name);
-      LASTCPU_READ(token, r.GetU64());
-      p.auth_token = *token;
-      return Payload(std::move(p));
-    }
-    case MessageType::kFileAdminResponse:
-      return Payload(FileAdminResponse{});
-    case MessageType::kFileList: {
-      FileList p;
-      LASTCPU_READ(token, r.GetU64());
-      p.auth_token = *token;
-      return Payload(p);
-    }
-    case MessageType::kFileListResponse: {
-      FileListResponse p;
-      LASTCPU_READ(n, r.GetU32());
-      if (static_cast<size_t>(*n) * 4 > r.remaining()) {
-        return InvalidArgument("name count exceeds buffer");
-      }
-      for (uint32_t i = 0; i < *n; ++i) {
-        LASTCPU_READ(name, r.GetString());
-        p.names.push_back(*std::move(name));
-      }
-      return Payload(std::move(p));
-    }
-    case MessageType::kDevicePermanentlyFailed: {
-      DevicePermanentlyFailed p;
-      LASTCPU_READ(device, r.GetU32());
-      p.device = DeviceId(*device);
-      LASTCPU_READ(reason, r.GetString());
-      p.reason = *std::move(reason);
-      return Payload(std::move(p));
-    }
-    case MessageType::kMemAllocBatchRequest: {
-      MemAllocBatchRequest p;
-      LASTCPU_READ(pasid, r.GetU32());
-      p.pasid = Pasid(*pasid);
-      LASTCPU_READ(bytes, r.GetU64());
-      p.bytes = *bytes;
-      LASTCPU_READ(count, r.GetU32());
-      p.count = *count;
-      LASTCPU_READ(access, GetAccess(r));
-      p.access = *access;
-      return Payload(p);
-    }
-    case MessageType::kMemAllocBatchResponse: {
-      MemAllocBatchResponse p;
-      LASTCPU_READ(vaddrs, GetVirtAddrs(r));
-      p.vaddrs = *std::move(vaddrs);
-      LASTCPU_READ(bytes, r.GetU64());
-      p.bytes = *bytes;
-      LASTCPU_READ(nframes, r.GetU32());
-      if (static_cast<size_t>(*nframes) * 8 > r.remaining()) {
-        return InvalidArgument("frame count exceeds buffer");
-      }
-      p.first_frames.reserve(*nframes);
-      for (uint32_t i = 0; i < *nframes; ++i) {
-        LASTCPU_READ(frame, r.GetU64());
-        p.first_frames.push_back(*frame);
-      }
-      return Payload(std::move(p));
-    }
-    case MessageType::kMemFreeBatchRequest: {
-      MemFreeBatchRequest p;
-      LASTCPU_READ(pasid, r.GetU32());
-      p.pasid = Pasid(*pasid);
-      LASTCPU_READ(vaddrs, GetVirtAddrs(r));
-      p.vaddrs = *std::move(vaddrs);
-      LASTCPU_READ(bytes, r.GetU64());
-      p.bytes = *bytes;
-      return Payload(std::move(p));
-    }
-    case MessageType::kMemFreeBatchResponse:
-      return Payload(MemFreeBatchResponse{});
-    case MessageType::kMemShardAnnounce: {
-      MemShardAnnounce p;
-      LASTCPU_READ(shard, GetShardRecord(r));
-      p.shard = *shard;
-      return Payload(p);
-    }
-    case MessageType::kShardDirectoryRequest:
-      return Payload(ShardDirectoryRequest{});
-    case MessageType::kShardDirectoryResponse: {
-      ShardDirectoryResponse p;
-      LASTCPU_READ(n, r.GetU32());
-      if (static_cast<size_t>(*n) * kShardRecordBytes > r.remaining()) {
-        return InvalidArgument("shard count exceeds buffer");
-      }
-      for (uint32_t i = 0; i < *n; ++i) {
-        LASTCPU_READ(shard, GetShardRecord(r));
-        p.shards.push_back(*shard);
-      }
-      return Payload(std::move(p));
-    }
-    case MessageType::kLeaseReassertRequest: {
-      LeaseReassertRequest p;
-      LASTCPU_READ(n, r.GetU32());
-      // 33 bytes per lease before its (possibly empty) grant list.
-      if (static_cast<size_t>(*n) * 33 > r.remaining()) {
-        return InvalidArgument("lease count exceeds buffer");
-      }
-      p.leases.reserve(*n);
-      for (uint32_t i = 0; i < *n; ++i) {
-        LeaseRecord lease;
-        LASTCPU_READ(pasid, r.GetU32());
-        lease.pasid = Pasid(*pasid);
-        LASTCPU_READ(vaddr, r.GetU64());
-        lease.vaddr = VirtAddr(*vaddr);
-        LASTCPU_READ(bytes, r.GetU64());
-        lease.bytes = *bytes;
-        LASTCPU_READ(frame, r.GetU64());
-        lease.first_frame = *frame;
-        LASTCPU_READ(access, GetAccess(r));
-        lease.access = *access;
-        LASTCPU_READ(ngrants, r.GetU32());
-        if (static_cast<size_t>(*ngrants) * 5 > r.remaining()) {
-          return InvalidArgument("grant count exceeds buffer");
-        }
-        lease.grants.reserve(*ngrants);
-        for (uint32_t j = 0; j < *ngrants; ++j) {
-          LeaseGrant grant;
-          LASTCPU_READ(grantee, r.GetU32());
-          grant.grantee = DeviceId(*grantee);
-          LASTCPU_READ(gaccess, GetAccess(r));
-          grant.access = *gaccess;
-          lease.grants.push_back(grant);
-        }
-        p.leases.push_back(std::move(lease));
-      }
-      return Payload(std::move(p));
-    }
-    case MessageType::kLeaseReassertResponse: {
-      LeaseReassertResponse p;
-      LASTCPU_READ(accepted, r.GetU32());
-      p.accepted = *accepted;
-      LASTCPU_READ(rejected, r.GetU32());
-      p.rejected = *rejected;
-      LASTCPU_READ(epoch, r.GetU64());
-      p.epoch = *epoch;
-      return Payload(p);
-    }
-  }
-  return InvalidArgument("unknown message type");
+// The largest valid value of each enum field, and the error for a larger one.
+struct EnumRange {
+  uint8_t max;
+  const char* error;
+};
+constexpr EnumRange WireRange(Access) { return {0x7, "bad access bits"}; }
+constexpr EnumRange WireRange(ServiceType) {
+  return {static_cast<uint8_t>(ServiceType::kKeyValue), "bad service type"};
+}
+constexpr EnumRange WireRange(StatusCode) {
+  return {static_cast<uint8_t>(StatusCode::kPartitioned), "bad status code"};
 }
 
-#undef LASTCPU_READ
+// Structs and lists nest in each other, so these are declared ahead.
+template <typename Sink, WireStruct T>
+constexpr void Put(Sink& w, const T& value);
+template <WireStruct T>
+Status Get(ByteReader& r, T& value);
+
+template <typename Sink>
+constexpr void Put(Sink& w, uint8_t v) { w.PutU8(v); }
+template <typename Sink>
+constexpr void Put(Sink& w, uint16_t v) { w.PutU16(v); }
+template <typename Sink>
+constexpr void Put(Sink& w, uint32_t v) { w.PutU32(v); }
+template <typename Sink>
+constexpr void Put(Sink& w, uint64_t v) { w.PutU64(v); }
+template <typename Sink>
+constexpr void Put(Sink& w, bool v) { w.PutU8(v ? 1 : 0); }
+template <typename Sink, typename E>
+  requires std::is_enum_v<E>
+constexpr void Put(Sink& w, E v) {
+  static_assert(sizeof(E) == 1, "enum fields travel as one byte");
+  w.PutU8(static_cast<uint8_t>(v));
+}
+template <typename Sink, typename Tag, typename Int>
+constexpr void Put(Sink& w, TypedId<Tag, Int> id) { Put(w, id.value()); }
+template <typename Sink>
+constexpr void Put(Sink& w, VirtAddr v) { w.PutU64(v.raw); }
+template <typename Sink>
+constexpr void Put(Sink& w, const std::string& s) { w.PutString(s); }
+template <typename Sink, typename T>
+constexpr void Put(Sink& w, const std::vector<T>& values) {
+  w.PutU32(static_cast<uint32_t>(values.size()));
+  for (const T& value : values) {
+    Put(w, value);
+  }
+}
+template <typename Sink, WireStruct T>
+constexpr void Put(Sink& w, const T& value) {
+  std::apply([&](const auto&... fields) { (Put(w, fields), ...); }, T::Fields(value));
+}
+
+// The fewest bytes a T occupies on the wire: its encoding with every string
+// and list empty.
+template <typename T>
+constexpr size_t kMinBytes = [] {
+  ByteCounter counter;
+  Put(counter, T{});
+  return counter.size();
+}();
+
+template <typename T>
+Status Assign(Result<T> result, T& out) {
+  if (!result.ok()) {
+    return result.status();
+  }
+  out = *std::move(result);
+  return OkStatus();
+}
+
+Status Get(ByteReader& r, uint8_t& v) { return Assign(r.GetU8(), v); }
+Status Get(ByteReader& r, uint16_t& v) { return Assign(r.GetU16(), v); }
+Status Get(ByteReader& r, uint32_t& v) { return Assign(r.GetU32(), v); }
+Status Get(ByteReader& r, uint64_t& v) { return Assign(r.GetU64(), v); }
+Status Get(ByteReader& r, std::string& s) { return Assign(r.GetString(), s); }
+
+Status Get(ByteReader& r, bool& v) {
+  uint8_t raw = 0;
+  LASTCPU_RETURN_IF_ERROR(Get(r, raw));
+  v = raw != 0;
+  return OkStatus();
+}
+
+template <typename E>
+  requires std::is_enum_v<E>
+Status Get(ByteReader& r, E& v) {
+  uint8_t raw = 0;
+  LASTCPU_RETURN_IF_ERROR(Get(r, raw));
+  constexpr EnumRange kRange = WireRange(E{});
+  if (raw > kRange.max) {
+    return InvalidArgument(kRange.error);
+  }
+  v = static_cast<E>(raw);
+  return OkStatus();
+}
+
+template <typename Tag, typename Int>
+Status Get(ByteReader& r, TypedId<Tag, Int>& id) {
+  Int raw = 0;
+  LASTCPU_RETURN_IF_ERROR(Get(r, raw));
+  id = TypedId<Tag, Int>(raw);
+  return OkStatus();
+}
+
+Status Get(ByteReader& r, VirtAddr& v) { return Get(r, v.raw); }
+
+template <typename T>
+Status Get(ByteReader& r, std::vector<T>& values) {
+  static_assert(kMinBytes<T> > 0, "a count must bound the bytes its elements need");
+  uint32_t count = 0;
+  LASTCPU_RETURN_IF_ERROR(Get(r, count));
+  // Reject counts the buffer cannot possibly hold before allocating for them.
+  if (static_cast<size_t>(count) * kMinBytes<T> > r.remaining()) {
+    return InvalidArgument("element count exceeds buffer");
+  }
+  values.resize(count);
+  for (T& value : values) {
+    LASTCPU_RETURN_IF_ERROR(Get(r, value));
+  }
+  return OkStatus();
+}
+
+template <WireStruct T>
+Status Get(ByteReader& r, T& value) {
+  Status status;
+  std::apply([&](auto&... fields) { (void)((status = Get(r, fields)).ok() && ...); },
+             T::Fields(value));
+  return status;
+}
+
+// --- payloads -------------------------------------------------------------------
+
+template <typename Sink>
+void PutPayload(Sink& w, const Payload& payload) {
+  std::visit([&w](const auto& p) { Put(w, p); }, payload);
+}
+
+size_t PayloadSize(const Payload& payload) {
+  ByteCounter counter;
+  PutPayload(counter, payload);
+  return counter.size();
+}
+
+// Indexed by type tag: each decoder makes its alternative the active one and
+// reads it in place.
+using PayloadDecoder = Status (*)(ByteReader&, Payload&);
+
+template <size_t... I>
+constexpr std::array<PayloadDecoder, sizeof...(I)> PayloadDecoders(std::index_sequence<I...>) {
+  return {[](ByteReader& r, Payload& payload) { return Get(r, payload.emplace<I>()); }...};
+}
+
+constexpr auto kPayloadDecoders =
+    PayloadDecoders(std::make_index_sequence<std::variant_size_v<Payload>>());
 
 }  // namespace
 
@@ -768,11 +225,6 @@ void ByteWriter::PutU64(uint64_t v) {
 void ByteWriter::PutString(const std::string& s) {
   PutU32(static_cast<uint32_t>(s.size()));
   bytes_.insert(bytes_.end(), s.begin(), s.end());
-}
-
-void ByteWriter::PutBytes(std::span<const uint8_t> data) {
-  PutU32(static_cast<uint32_t>(data.size()));
-  bytes_.insert(bytes_.end(), data.begin(), data.end());
 }
 
 Result<uint8_t> ByteReader::GetU8() {
@@ -828,103 +280,58 @@ Result<std::string> ByteReader::GetString() {
   return s;
 }
 
-Result<std::vector<uint8_t>> ByteReader::GetBytes() {
-  auto len = GetU32();
-  if (!len.ok()) {
-    return len.status();
-  }
-  if (remaining() < *len) {
-    return InvalidArgument("truncated bytes");
-  }
-  std::vector<uint8_t> out(data_.begin() + static_cast<ptrdiff_t>(pos_),
-                           data_.begin() + static_cast<ptrdiff_t>(pos_ + *len));
-  pos_ += *len;
-  return out;
-}
-
 std::vector<uint8_t> EncodeMessage(const Message& message) {
-  ByteWriter payload_writer;
-  std::visit(PayloadEncoder{payload_writer}, message.payload);
-
   ByteWriter w;
   w.PutU8(kMagic0);
   w.PutU8(kMagic1);
   w.PutU8(kVersion);
   w.PutU16(static_cast<uint16_t>(message.type()));
-  w.PutU32(message.src.value());
-  w.PutU32(message.dst.value());
-  w.PutU64(message.request_id.value());
-  w.PutBytes(payload_writer.bytes());
+  Put(w, message.src);
+  Put(w, message.dst);
+  Put(w, message.request_id);
+  w.PutU32(static_cast<uint32_t>(PayloadSize(message.payload)));
+  PutPayload(w, message.payload);
   return w.Take();
 }
 
 Result<Message> DecodeMessage(std::span<const uint8_t> wire) {
   ByteReader r(wire);
-  auto m0 = r.GetU8();
-  auto m1 = r.GetU8();
-  auto version = r.GetU8();
-  if (!m0.ok() || !m1.ok() || !version.ok()) {
+  uint8_t magic0 = 0;
+  uint8_t magic1 = 0;
+  uint8_t version = 0;
+  if (!Get(r, magic0).ok() || !Get(r, magic1).ok() || !Get(r, version).ok()) {
     return InvalidArgument("truncated header");
   }
-  if (*m0 != kMagic0 || *m1 != kMagic1) {
+  if (magic0 != kMagic0 || magic1 != kMagic1) {
     return InvalidArgument("bad magic");
   }
-  if (*version != kVersion) {
+  if (version != kVersion) {
     return InvalidArgument("unsupported protocol version");
   }
-  auto type = r.GetU16();
-  if (!type.ok()) {
-    return type.status();
-  }
-  if (*type > static_cast<uint16_t>(MessageType::kLeaseReassertResponse)) {
+  uint16_t type = 0;
+  LASTCPU_RETURN_IF_ERROR(Get(r, type));
+  if (type >= kPayloadDecoders.size()) {
     return InvalidArgument("unknown message type");
   }
-  auto src = r.GetU32();
-  if (!src.ok()) {
-    return src.status();
+  Message message;
+  uint32_t payload_bytes = 0;
+  LASTCPU_RETURN_IF_ERROR(Get(r, message.src));
+  LASTCPU_RETURN_IF_ERROR(Get(r, message.dst));
+  LASTCPU_RETURN_IF_ERROR(Get(r, message.request_id));
+  LASTCPU_RETURN_IF_ERROR(Get(r, payload_bytes));
+  if (r.remaining() < payload_bytes) {
+    return InvalidArgument("truncated payload");
   }
-  auto dst = r.GetU32();
-  if (!dst.ok()) {
-    return dst.status();
-  }
-  auto request_id = r.GetU64();
-  if (!request_id.ok()) {
-    return request_id.status();
-  }
-  auto payload_bytes = r.GetBytes();
-  if (!payload_bytes.ok()) {
-    return payload_bytes.status();
-  }
-  if (!r.AtEnd()) {
+  if (r.remaining() > payload_bytes) {
     return InvalidArgument("trailing bytes after message");
   }
-  ByteReader pr(*payload_bytes);
-  auto payload = DecodePayload(static_cast<MessageType>(*type), pr);
-  if (!payload.ok()) {
-    return payload.status();
-  }
-  if (!pr.AtEnd()) {
+  LASTCPU_RETURN_IF_ERROR(kPayloadDecoders[type](r, message.payload));
+  if (!r.AtEnd()) {
     return InvalidArgument("trailing bytes after payload");
   }
-  Message message;
-  message.src = DeviceId(*src);
-  message.dst = DeviceId(*dst);
-  message.request_id = RequestId(*request_id);
-  message.payload = *std::move(payload);
   return message;
 }
 
-size_t EncodedSize(const Message& message) {
-  // Header: magic(2) + version(1) + type(2) + src(4) + dst(4) + reqid(8) +
-  // payload length prefix(4).
-  //
-  // The bus calls this once per message just to model wire latency; reusing
-  // one scratch writer keeps the hot path allocation-free after warmup (the
-  // simulation is single-threaded, thread_local is belt-and-braces).
-  static thread_local ByteWriter payload_writer;
-  payload_writer.Clear();
-  std::visit(PayloadEncoder{payload_writer}, message.payload);
-  return 25 + payload_writer.size();
-}
+size_t EncodedSize(const Message& message) { return kHeaderBytes + PayloadSize(message.payload); }
 
 }  // namespace lastcpu::proto

@@ -1,10 +1,11 @@
 // Binary wire codec for bus messages.
 //
 // A real system-management bus moves bytes, not C++ objects; the codec defines
-// that wire format (little-endian, length-prefixed strings). The emulated bus
-// routes in-memory `Message` objects for speed but uses EncodedSize() to model
-// serialization latency, and the loopback tests round-trip every payload kind
-// through the codec to keep it honest.
+// that wire format (little-endian, length-prefixed strings and lists). Each
+// payload encodes as its Fields() in order (see message.h), so the format
+// follows from the struct declarations. The emulated bus routes in-memory
+// `Message` objects for speed but uses EncodedSize() to model serialization
+// latency; the codec goldens pin every payload kind's bytes.
 #ifndef SRC_PROTO_CODEC_H_
 #define SRC_PROTO_CODEC_H_
 
@@ -27,15 +28,10 @@ class ByteWriter {
   void PutU64(uint64_t v);
   // Length-prefixed (u32) string.
   void PutString(const std::string& s);
-  // Length-prefixed (u32) raw bytes.
-  void PutBytes(std::span<const uint8_t> data);
 
   const std::vector<uint8_t>& bytes() const { return bytes_; }
   std::vector<uint8_t> Take() { return std::move(bytes_); }
   size_t size() const { return bytes_.size(); }
-  // Empties the sink but keeps its capacity, so a reused writer stops
-  // allocating once it has seen the largest message.
-  void Clear() { bytes_.clear(); }
 
  private:
   std::vector<uint8_t> bytes_;
@@ -51,7 +47,6 @@ class ByteReader {
   Result<uint32_t> GetU32();
   Result<uint64_t> GetU64();
   Result<std::string> GetString();
-  Result<std::vector<uint8_t>> GetBytes();
 
   size_t remaining() const { return data_.size() - pos_; }
   bool AtEnd() const { return pos_ == data_.size(); }
@@ -65,7 +60,8 @@ class ByteReader {
 std::vector<uint8_t> EncodeMessage(const Message& message);
 
 // Parses wire bytes back into a message. Fails on truncation, bad magic,
-// unknown type, or trailing garbage.
+// unknown type, out-of-range enum fields, impossible element counts, or
+// trailing garbage.
 Result<Message> DecodeMessage(std::span<const uint8_t> wire);
 
 // Wire size without materializing the bytes (used for bus latency modeling).

@@ -1,5 +1,6 @@
 #include "src/proto/message.h"
 
+#include <array>
 #include <utility>
 
 namespace lastcpu::proto {
@@ -28,100 +29,32 @@ std::string_view ServiceTypeName(ServiceType type) {
   return "unknown";
 }
 
+namespace {
+
+struct KindTraits {
+  std::string_view name;
+  bool is_response;
+};
+
+template <size_t... I>
+constexpr std::array<KindTraits, sizeof...(I)> KindTable(std::index_sequence<I...>) {
+  return {KindTraits{std::variant_alternative_t<I, Payload>::kName,
+                     std::variant_alternative_t<I, Payload>::kIsResponse}...};
+}
+
+// Indexed by MessageType.
+constexpr auto kKinds = KindTable(std::make_index_sequence<std::variant_size_v<Payload>>());
+
+}  // namespace
+
 std::string_view MessageTypeName(MessageType type) {
-  switch (type) {
-    case MessageType::kAliveAnnounce:
-      return "AliveAnnounce";
-    case MessageType::kDiscoverRequest:
-      return "DiscoverRequest";
-    case MessageType::kDiscoverResponse:
-      return "DiscoverResponse";
-    case MessageType::kOpenRequest:
-      return "OpenRequest";
-    case MessageType::kOpenResponse:
-      return "OpenResponse";
-    case MessageType::kCloseRequest:
-      return "CloseRequest";
-    case MessageType::kCloseResponse:
-      return "CloseResponse";
-    case MessageType::kMemAllocRequest:
-      return "MemAllocRequest";
-    case MessageType::kMemAllocResponse:
-      return "MemAllocResponse";
-    case MessageType::kMapDirective:
-      return "MapDirective";
-    case MessageType::kMemFreeRequest:
-      return "MemFreeRequest";
-    case MessageType::kMemFreeResponse:
-      return "MemFreeResponse";
-    case MessageType::kGrantRequest:
-      return "GrantRequest";
-    case MessageType::kGrantResponse:
-      return "GrantResponse";
-    case MessageType::kRevokeRequest:
-      return "RevokeRequest";
-    case MessageType::kRevokeResponse:
-      return "RevokeResponse";
-    case MessageType::kNotify:
-      return "Notify";
-    case MessageType::kResourceFailed:
-      return "ResourceFailed";
-    case MessageType::kDeviceFailed:
-      return "DeviceFailed";
-    case MessageType::kResetSignal:
-      return "ResetSignal";
-    case MessageType::kTeardownApp:
-      return "TeardownApp";
-    case MessageType::kLoadImage:
-      return "LoadImage";
-    case MessageType::kLoadImageResponse:
-      return "LoadImageResponse";
-    case MessageType::kAuthRequest:
-      return "AuthRequest";
-    case MessageType::kAuthResponse:
-      return "AuthResponse";
-    case MessageType::kErrorResponse:
-      return "ErrorResponse";
-    case MessageType::kMapConfirm:
-      return "MapConfirm";
-    case MessageType::kAttachQueue:
-      return "AttachQueue";
-    case MessageType::kAttachQueueResponse:
-      return "AttachQueueResponse";
-    case MessageType::kHeartbeat:
-      return "Heartbeat";
-    case MessageType::kFileCreate:
-      return "FileCreate";
-    case MessageType::kFileDelete:
-      return "FileDelete";
-    case MessageType::kFileAdminResponse:
-      return "FileAdminResponse";
-    case MessageType::kFileList:
-      return "FileList";
-    case MessageType::kFileListResponse:
-      return "FileListResponse";
-    case MessageType::kDevicePermanentlyFailed:
-      return "DevicePermanentlyFailed";
-    case MessageType::kMemAllocBatchRequest:
-      return "MemAllocBatchRequest";
-    case MessageType::kMemAllocBatchResponse:
-      return "MemAllocBatchResponse";
-    case MessageType::kMemFreeBatchRequest:
-      return "MemFreeBatchRequest";
-    case MessageType::kMemFreeBatchResponse:
-      return "MemFreeBatchResponse";
-    case MessageType::kMemShardAnnounce:
-      return "MemShardAnnounce";
-    case MessageType::kShardDirectoryRequest:
-      return "ShardDirectoryRequest";
-    case MessageType::kShardDirectoryResponse:
-      return "ShardDirectoryResponse";
-    case MessageType::kLeaseReassertRequest:
-      return "LeaseReassertRequest";
-    case MessageType::kLeaseReassertResponse:
-      return "LeaseReassertResponse";
-  }
-  return "Unknown";
+  size_t index = static_cast<size_t>(type);
+  return index < kKinds.size() ? kKinds[index].name : "Unknown";
+}
+
+bool IsResponse(MessageType type) {
+  size_t index = static_cast<size_t>(type);
+  return index < kKinds.size() && kKinds[index].is_response;
 }
 
 Message MakeRequest(DeviceId src, DeviceId dst, RequestId id, Payload payload) {

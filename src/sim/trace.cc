@@ -14,15 +14,6 @@ void TraceLog::Append(TraceRecord record) {
   records_.push_back(std::move(record));
 }
 
-// The deprecated shim's own definition must not trip -Wdeprecated-declarations.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-void TraceLog::Emit(SimTime when, std::string component, std::string event, std::string detail) {
-  Append(TraceRecord{when, std::move(component), std::move(event), std::move(detail),
-                     TraceKind::kInstant, 0, 0, 0});
-}
-#pragma GCC diagnostic pop
-
 std::vector<TraceRecord> TraceLog::FindByEvent(const std::string& event) const {
   std::vector<TraceRecord> out;
   for (const auto& record : records_) {

@@ -56,10 +56,6 @@ class TraceLog {
   // go through a Tracer instead.
   void Append(TraceRecord record);
 
-  // Legacy untyped emission; records an instant with no span identity.
-  [[deprecated("use sim::Tracer (BeginSpan/Instant) instead of raw Emit")]]
-  void Emit(SimTime when, std::string component, std::string event, std::string detail);
-
   // Fresh machine-unique ids. Valid ids start at 1; 0 means "none".
   SpanId MintSpanId() { return ++last_span_id_; }
   FlowId MintFlowId() { return ++last_flow_id_; }

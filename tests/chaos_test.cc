@@ -255,9 +255,9 @@ struct RunOutcome {
   uint64_t gc_runs = 0;
 };
 
-// When true, every schedule runs with the batching fast paths on: grant
-// magazine sizing aside, the data-plane windows and doorbell coalescing must
-// not change any lifecycle outcome (only timings).
+// When true, every schedule runs with the data-plane batching windows and
+// doorbell coalescing on: they must not change any lifecycle outcome (only
+// timings).
 RunOutcome RunSchedule(const Schedule& sched, bool batched) {
   const sim::Duration window = sim::Duration::Micros(2);
   core::MachineConfig config;
@@ -266,15 +266,15 @@ RunOutcome RunSchedule(const Schedule& sched, bool batched) {
   kvs::KvsAppConfig app_config;
   if (batched) {
     config.fabric.doorbell_coalesce_window = window;
-    config.fast_path.submit_batch_window = window;
-    config.fast_path.completion_batch_window = window;
-    config.fast_path.magazine.enabled = true;
     app_config.engine.file_client.submit_batch_window = window;
   }
   core::Machine machine(config);
   auto& memctrl = machine.AddMemoryController();
   ssddev::SmartSsdConfig ssd_config;
   ssd_config.host_auth_service = false;
+  if (batched) {
+    ssd_config.file_service.completion_batch_window = window;
+  }
   if (sched.small_ssd) {
     ssd_config.nand.dies = 2;
     ssd_config.nand.blocks_per_die = 8;
