@@ -26,6 +26,7 @@
 #include "src/core/crash_injector.h"
 #include "src/core/machine.h"
 #include "src/kvs/kvs_app.h"
+#include "tests/fingerprint.h"
 #include "tests/test_util.h"
 
 namespace lastcpu {
@@ -429,6 +430,9 @@ TEST_P(ChaosSoak, SurvivesCrashScheduleDeterministically) {
   EXPECT_EQ(first.events, second.events);
   EXPECT_EQ(first.metrics, second.metrics);
   EXPECT_EQ(first.acked, second.acked);
+  // ...and the same evolution as the committed fingerprint.
+  testutil::ExpectFingerprint(std::string("ChaosSoak/") + sched.name + (batched ? "/batched" : ""),
+                              testutil::RunFingerprint(first.events, first.metrics));
 
   EXPECT_EQ(first.ssd_quarantined, sched.expect_ssd_quarantine);
   if (sched.expect_ssd_quarantine) {

@@ -23,6 +23,7 @@
 #include "src/proto/message.h"
 #include "src/sim/fault.h"
 #include "src/sim/simulator.h"
+#include "tests/fingerprint.h"
 
 namespace lastcpu {
 namespace {
@@ -429,6 +430,8 @@ TEST(RackChaos, ShardRestartMidBurstRerunsByteIdentical) {
   EXPECT_EQ(first.ok_ops, second.ok_ops);
   EXPECT_EQ(first.failed_ops, second.failed_ops);
   EXPECT_EQ(first.metrics, second.metrics);
+  testutil::ExpectFingerprint("RackChaos.ShardRestartMidBurstRerunsByteIdentical",
+                              testutil::RunFingerprint(first.events, first.metrics));
 }
 
 // Partition the inter-segment link mid-burst, then heal it: traffic stays
@@ -520,6 +523,8 @@ TEST(RackChaos, PartitionThenHealReconcilesByteIdentical) {
   EXPECT_EQ(first.events, second.events);
   EXPECT_EQ(first.ok_ops, second.ok_ops);
   EXPECT_EQ(first.metrics, second.metrics);
+  testutil::ExpectFingerprint("RackChaos.PartitionThenHealReconcilesByteIdentical",
+                              testutil::RunFingerprint(first.events, first.metrics));
 }
 
 // Kill the inter-segment router with traffic in flight: a cross-segment
@@ -630,6 +635,8 @@ TEST(RackChaos, RouterKillWithInFlightTrafficRerunsByteIdentical) {
 
   EXPECT_EQ(first.events, second.events);
   EXPECT_EQ(first.metrics, second.metrics);
+  testutil::ExpectFingerprint("RackChaos.RouterKillWithInFlightTrafficRerunsByteIdentical",
+                              testutil::RunFingerprint(first.events, first.metrics));
   EXPECT_EQ(first_dma, second_dma);
   EXPECT_EQ(first_rpc, second_rpc);
 }

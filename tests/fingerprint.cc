@@ -1,0 +1,80 @@
+#include "tests/fingerprint.h"
+
+#include <gtest/gtest.h>
+
+#include <cinttypes>
+#include <cstdio>
+#include <string>
+
+namespace lastcpu::testutil {
+namespace {
+
+struct Entry {
+  const char* name;
+  uint64_t hash;
+};
+
+// Generated with GCC 12.2 (Debian 12.2.0-14) at -O2 -g. ChaosSoak entries
+// are "ChaosSoak/<schedule>" and "ChaosSoak/<schedule>/batched"; RackChaos
+// entries name the test; KernelFingerprint entries name the core count.
+constexpr Entry kTable[] = {
+    {"ChaosSoak/ssd-transient", 0xae2a25dba03dde70ull},
+    {"ChaosSoak/ssd-crash-loop-then-recover", 0x8cede8ab7ae0aeceull},
+    {"ChaosSoak/ssd-never-returns", 0x40cd57a70c157ba7ull},
+    {"ChaosSoak/ssd-dies-in-boot-self-test", 0xe92fa5ad0c68dbbeull},
+    {"ChaosSoak/ssd-dies-mid-session-setup", 0xacd0cd296e6ab6b1ull},
+    {"ChaosSoak/ssd-dies-early-never-returns", 0xdbd5af9675fb4c4bull},
+    {"ChaosSoak/ssd-dies-again-during-kvs-recovery", 0xacf5b3b9c4b0349cull},
+    {"ChaosSoak/nic-transient", 0xfa56e2524baba098ull},
+    {"ChaosSoak/memctrl-transient", 0x42de62cff050b320ull},
+    {"ChaosSoak/ssd-crash-loops-into-quarantine", 0xb3101fb425f49263ull},
+    {"ChaosSoak/ssd-power-cut-transient", 0x06814e10d1390209ull},
+    {"ChaosSoak/ssd-power-cut-mid-gc", 0x5ec139c45e62efe1ull},
+    {"ChaosSoak/ssd-power-cut-double", 0x63740e51228976ebull},
+    {"ChaosSoak/magazine-holder-never-returns", 0x9370856ef47241efull},
+    {"ChaosSoak/ssd-transient/batched", 0xd50346bb4c74b212ull},
+    {"ChaosSoak/ssd-crash-loop-then-recover/batched", 0x62881bf0d95d9e3eull},
+    {"ChaosSoak/ssd-never-returns/batched", 0xbd68ebf63c5b9800ull},
+    {"ChaosSoak/ssd-dies-in-boot-self-test/batched", 0x4fb10429b6c201aaull},
+    {"ChaosSoak/ssd-dies-mid-session-setup/batched", 0x6fa15cb0c6a7ece7ull},
+    {"ChaosSoak/ssd-dies-early-never-returns/batched", 0xdbd5af9675fb4c4bull},
+    {"ChaosSoak/ssd-dies-again-during-kvs-recovery/batched", 0xf2d88142ea78023aull},
+    {"ChaosSoak/nic-transient/batched", 0x18694629d25c55c9ull},
+    {"ChaosSoak/memctrl-transient/batched", 0xce0bc9acdaea9611ull},
+    {"ChaosSoak/ssd-crash-loops-into-quarantine/batched", 0x3e0274ceb4ec6c6dull},
+    {"ChaosSoak/ssd-power-cut-transient/batched", 0x6c4ed9abe722bfa0ull},
+    {"ChaosSoak/ssd-power-cut-mid-gc/batched", 0xd9cbfd88f20db9bfull},
+    {"ChaosSoak/ssd-power-cut-double/batched", 0x08e525777e99cd16ull},
+    {"ChaosSoak/magazine-holder-never-returns/batched", 0x820d867cdf0b1c61ull},
+    {"RackChaos.ShardKillQuarantinesReclaimsAndRerunsByteIdentical", 0x8be62fb14d1a8a73ull},
+    {"RackChaos.ShardRestartMidBurstRerunsByteIdentical", 0x8c4c77de474134faull},
+    {"RackChaos.PartitionThenHealReconcilesByteIdentical", 0x631ad04fc3c139f1ull},
+    {"RackChaos.RouterKillWithInFlightTrafficRerunsByteIdentical", 0x466f1f3aa054840bull},
+    {"KernelFingerprint/1core", 0x71aeaba5f43041b7ull},
+    {"KernelFingerprint/4cores", 0x4624d616145ad037ull},
+};
+
+std::string Hex(uint64_t value) {
+  char buffer[24];
+  std::snprintf(buffer, sizeof(buffer), "0x%016" PRIx64, value);
+  return buffer;
+}
+
+}  // namespace
+
+void ExpectFingerprint(std::string_view name, uint64_t hash) {
+  std::string line = "    {\"" + std::string(name) + "\", " + Hex(hash) + "ull},";
+  for (const Entry& entry : kTable) {
+    if (name == entry.name) {
+      EXPECT_EQ(entry.hash, hash) << "fingerprint " << name << ": table " << Hex(entry.hash)
+                                  << ", this run " << Hex(hash) << "\n  table line:\n"
+                                  << line;
+      return;
+    }
+  }
+  ADD_FAILURE() << "fingerprint " << name << " is missing from tests/fingerprint.cc; this run "
+                << Hex(hash) << "\n  table line:\n"
+                << line;
+}
+
+}  // namespace lastcpu::testutil

@@ -18,6 +18,7 @@
 #include "src/memdev/shard_layout.h"
 #include "src/proto/message.h"
 #include "src/sim/simulator.h"
+#include "tests/fingerprint.h"
 
 namespace lastcpu {
 namespace {
@@ -505,6 +506,8 @@ TEST(RackChaos, ShardKillQuarantinesReclaimsAndRerunsByteIdentical) {
   // Same seeded schedule -> byte-identical machine evolution.
   EXPECT_EQ(first.events, second.events);
   EXPECT_EQ(first.metrics, second.metrics);
+  testutil::ExpectFingerprint("RackChaos.ShardKillQuarantinesReclaimsAndRerunsByteIdentical",
+                              testutil::RunFingerprint(first.events, first.metrics));
 }
 
 }  // namespace
