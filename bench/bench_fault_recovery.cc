@@ -275,8 +275,8 @@ void Quarantine_Centralized(benchmark::State& state) {
     mem::PhysicalMemory memory(64 << 20);
     baseline::CentralKernelConfig config;
     if (crash_loop) {
-      config.max_restart_attempts = 10;
-      config.crash_loop_threshold = 3;
+      config.restart_policy.max_restart_attempts = 10;
+      config.restart_policy.crash_loop_threshold = 3;
     }
     baseline::CentralKernel kernel(&simulator, &memory, config);
     iommu::Iommu nic_iommu(DeviceId(1));

@@ -45,7 +45,20 @@ void DeviceSupervisor::CancelTimers(Record& rec) {
   rec.deadline.Cancel();
 }
 
+void DeviceSupervisor::Defer(Decision decision, DeviceId device, std::function<void()> decide) {
+  if (hooks_.defer) {
+    hooks_.defer(decision, device, std::move(decide));
+  } else {
+    decide();
+  }
+}
+
 void DeviceSupervisor::OnFailure(DeviceId device, const std::string& name) {
+  records_[device].name = name;
+  Defer(Decision::kFailure, device, [this, device] { DecideFailure(device); });
+}
+
+void DeviceSupervisor::DecideFailure(DeviceId device) {
   if (!policy_.supervised()) {
     // Legacy mode: every failure report pulses reset once, nobody follows up.
     if (hooks_.pulse_reset) {
@@ -54,7 +67,6 @@ void DeviceSupervisor::OnFailure(DeviceId device, const std::string& name) {
     return;
   }
   Record& rec = records_[device];
-  rec.name = name;
   if (rec.state == SupervisionState::kQuarantined) {
     return;
   }
@@ -133,12 +145,19 @@ void DeviceSupervisor::OnRestartDeadline(DeviceId device) {
                      rec.name + " silent after attempt " + std::to_string(rec.attempts),
                      rec.episode_span);
   }
-  if (rec.attempts >= policy_.max_restart_attempts) {
-    Quarantine(device, rec,
-               "no alive announce after " + std::to_string(rec.attempts) + " reset pulses");
-    return;
-  }
-  ScheduleAttempt(device, rec);
+  Defer(Decision::kDeadline, device, [this, device] {
+    auto found = records_.find(device);
+    if (found == records_.end() || found->second.state != SupervisionState::kRestarting) {
+      return;  // the device came back (or was quarantined) while this waited
+    }
+    Record& record = found->second;
+    if (record.attempts >= policy_.max_restart_attempts) {
+      Quarantine(device, record,
+                 "no alive announce after " + std::to_string(record.attempts) + " reset pulses");
+      return;
+    }
+    ScheduleAttempt(device, record);
+  });
 }
 
 void DeviceSupervisor::OnAlive(DeviceId device) {

@@ -10,6 +10,11 @@
 // terminal quarantine that broadcasts DevicePermanentlyFailed exactly once so
 // consumers stop retrying and resource controllers reclaim.
 //
+// The centralized kernel baseline runs this same supervisor as software: it
+// defers each decision (failure report, missed restart deadline) through its
+// CPU model instead of taking it at once, so the two designs share one
+// policy and differ only in where, and at what cost, it runs.
+//
 // State machine (see README "Robustness model"):
 //
 //   Healthy --failure--> Restarting --alive announce--> Healthy
@@ -64,11 +69,17 @@ struct RestartPolicy {
 class DeviceSupervisor {
  public:
   enum class SupervisionState : uint8_t { kHealthy, kRestarting, kQuarantined };
+  // The two decisions a host may defer: what to do about a failure report,
+  // and what to do when a pulsed device missed its restart deadline.
+  enum class Decision : uint8_t { kFailure, kDeadline };
 
-  // The supervisor decides *when*; the bus supplies the mechanism.
+  // The supervisor decides *when*; its host supplies the mechanism.
   struct Hooks {
     std::function<void(DeviceId)> pulse_reset;
     std::function<void(DeviceId, const std::string& reason)> quarantine;
+    // Runs `decide`, the supervisor's decision about `device`, whenever the
+    // host gets to it. Unset (bus hardware), decisions run at once.
+    std::function<void(Decision, DeviceId, std::function<void()> decide)> defer;
   };
 
   DeviceSupervisor(sim::Simulator* simulator, RestartPolicy policy, sim::Tracer* tracer,
@@ -78,7 +89,7 @@ class DeviceSupervisor {
 
   void SetHooks(Hooks hooks) { hooks_ = std::move(hooks); }
 
-  // The bus accepted a (first) failure report for `device`.
+  // The host accepted a (first) failure report for `device`.
   void OnFailure(DeviceId device, const std::string& name);
   // The device announced alive: the episode (if any) ended well.
   void OnAlive(DeviceId device);
@@ -103,6 +114,11 @@ class DeviceSupervisor {
     std::string name;
   };
 
+  // Runs `decide` through the defer hook, or at once without one.
+  void Defer(Decision decision, DeviceId device, std::function<void()> decide);
+  // The failure decision: pulse, or quarantine on a crash loop or an
+  // exhausted attempt budget.
+  void DecideFailure(DeviceId device);
   // Issues the next pulse (attempt number rec.attempts, 0-based before the
   // increment) either immediately or after its backoff.
   void ScheduleAttempt(DeviceId device, Record& rec);

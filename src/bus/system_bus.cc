@@ -24,6 +24,7 @@ SystemBus::SystemBus(sim::Simulator* simulator, BusConfig config, sim::TraceLog*
       .quarantine = [this](DeviceId device, const std::string& reason) {
         QuarantineDevice(device, reason);
       },
+      .defer = nullptr,  // bus hardware takes every decision at once
   });
   if (config_.heartbeat_timeout > sim::Duration::Zero()) {
     simulator_->SchedulePeriodic(config_.heartbeat_timeout / 2, [this] { WatchdogSweep(); });
