@@ -16,7 +16,8 @@ struct Entry {
 
 // Generated with GCC 12.2 (Debian 12.2.0-14) at -O2 -g. ChaosSoak entries
 // are "ChaosSoak/<schedule>" and "ChaosSoak/<schedule>/batched"; RackChaos
-// entries name the test; KernelFingerprint entries name the core count.
+// entries name the test; KernelFingerprint entries name the core count;
+// Example entries hash that example's stdout.
 constexpr Entry kTable[] = {
     {"ChaosSoak/ssd-transient", 0xae2a25dba03dde70ull},
     {"ChaosSoak/ssd-crash-loop-then-recover", 0x8cede8ab7ae0aeceull},
@@ -52,6 +53,9 @@ constexpr Entry kTable[] = {
     {"RackChaos.RouterKillWithInFlightTrafficRerunsByteIdentical", 0x466f1f3aa054840bull},
     {"KernelFingerprint/1core", 0x71aeaba5f43041b7ull},
     {"KernelFingerprint/4cores", 0x4624d616145ad037ull},
+    {"Example/quickstart", 0x0e39b6f698bbc12full},
+    {"Example/pipeline", 0xc401e93e6c6d02e1ull},
+    {"Example/failure_drill", 0x638df0b118c43aa6ull},
 };
 
 std::string Hex(uint64_t value) {
