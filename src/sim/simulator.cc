@@ -1,50 +1,28 @@
 #include "src/sim/simulator.h"
 
 #include <algorithm>
-#include <bit>
 #include <utility>
 
 #include "src/base/check.h"
 
 namespace lastcpu::sim {
 
-// Min-heap order on (when, seq): FIFO among simultaneous events. Shared by
-// the heap helpers and Compact()'s rebuilds.
-static bool RefAfter(const SimTime& a_when, uint64_t a_seq, const SimTime& b_when,
-                     uint64_t b_seq) {
-  if (a_when != b_when) {
-    return a_when > b_when;
-  }
-  return a_seq > b_seq;
+// Heap comparator: true when `a` runs after `b`, so the std:: heap algorithms
+// keep the earliest (when, seq) at the front. Equal timestamps run first-in
+// first-out.
+constexpr auto kRunsAfter = [](const auto& a, const auto& b) {
+  return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+};
+
+void Simulator::PushRef(Ref ref) {
+  queue_.push_back(ref);
+  std::push_heap(queue_.begin(), queue_.end(), kRunsAfter);
 }
 
-Simulator::Simulator(CalendarConfig calendar)
-    : bucket_width_nanos_(calendar.bucket_width.nanos()),
-      bucket_mask_(calendar.bucket_count - 1),
-      cur_end_(SimTime::Zero() + calendar.bucket_width) {
-  LASTCPU_CHECK(calendar.bucket_width > Duration::Zero(), "zero calendar bucket width");
-  LASTCPU_CHECK(calendar.bucket_count > 0 &&
-                    (calendar.bucket_count & (calendar.bucket_count - 1)) == 0,
-                "calendar bucket count must be a power of two");
-  buckets_.resize(calendar.bucket_count);
-  occupied_.assign((calendar.bucket_count + 63) / 64, 0);
-}
-
-Simulator::~Simulator() = default;
-
-void Simulator::HeapPush(std::vector<Ref>& heap, Ref ref) {
-  heap.push_back(ref);
-  std::push_heap(heap.begin(), heap.end(), [](const Ref& a, const Ref& b) {
-    return RefAfter(a.when, a.seq, b.when, b.seq);
-  });
-}
-
-Simulator::Ref Simulator::HeapPop(std::vector<Ref>& heap) {
-  std::pop_heap(heap.begin(), heap.end(), [](const Ref& a, const Ref& b) {
-    return RefAfter(a.when, a.seq, b.when, b.seq);
-  });
-  Ref ref = heap.back();
-  heap.pop_back();
+Simulator::Ref Simulator::PopRef() {
+  std::pop_heap(queue_.begin(), queue_.end(), kRunsAfter);
+  Ref ref = queue_.back();
+  queue_.pop_back();
   return ref;
 }
 
@@ -91,29 +69,8 @@ EventId Simulator::CommitSchedule(uint32_t slot, SimTime when, bool daemon, bool
     ++live_events_;
   }
   uint32_t generation = generations_[slot];
-  InsertRef(Ref{when, seq, slot, generation});
+  PushRef(Ref{when, seq, slot, generation});
   return EventId(slot, generation);
-}
-
-SimTime Simulator::Horizon() const {
-  return cur_end_ + Duration::Nanos(bucket_width_nanos_ *
-                                    static_cast<uint64_t>(buckets_.size()));
-}
-
-void Simulator::InsertRef(Ref ref) {
-  if (ref.when < cur_end_) {
-    HeapPush(cur_, ref);
-    return;
-  }
-  uint64_t idx = (ref.when.nanos() - cur_end_.nanos()) / bucket_width_nanos_;
-  if (idx < buckets_.size()) {
-    uint32_t slot = (base_ + static_cast<uint32_t>(idx)) & bucket_mask_;
-    buckets_[slot].push_back(ref);
-    occupied_[slot >> 6] |= uint64_t{1} << (slot & 63);
-    ++refs_in_buckets_;
-    return;
-  }
-  HeapPush(spill_, ref);
 }
 
 bool Simulator::Cancel(EventId id) {
@@ -138,97 +95,16 @@ bool Simulator::Cancel(EventId id) {
   return true;
 }
 
-void Simulator::AdvanceOneBucket() {
-  std::vector<Ref>& bucket = buckets_[base_];
-  occupied_[base_ >> 6] &= ~(uint64_t{1} << (base_ & 63));
-  base_ = (base_ + 1) & bucket_mask_;
-  cur_end_ = cur_end_ + Duration::Nanos(bucket_width_nanos_);
-  refs_in_buckets_ -= bucket.size();
-  for (const Ref& ref : bucket) {
-    if (RefLive(ref)) {
-      HeapPush(cur_, ref);
-    } else {
-      --cancelled_refs_;
-    }
-  }
-  bucket.clear();
-  DrainSpillIntoWindow();
-}
-
-void Simulator::JumpToSpill() {
-  // Precondition: cur_ and every bucket are empty, spill_ top is live. Slide
-  // the whole window so the earliest far-future event lands in cur_; no
-  // alignment is needed because buckets are indexed relative to cur_end_.
-  cur_end_ = spill_.front().when + Duration::Nanos(bucket_width_nanos_);
-  DrainSpillIntoWindow();
-}
-
-void Simulator::DrainSpillIntoWindow() {
-  SimTime horizon = Horizon();
-  while (!spill_.empty() && spill_.front().when < horizon) {
-    Ref ref = HeapPop(spill_);
-    if (RefLive(ref)) {
-      InsertRef(ref);
-    } else {
-      --cancelled_refs_;
-    }
-  }
-}
-
-void Simulator::SkipEmptyBuckets() {
-  // Find the smallest k with ring slot (base_ + k) occupied, scanning the
-  // bitmap a word at a time starting from base_'s word (bits below base_
-  // masked off; they belong to the window's far end and are caught on wrap).
-  const uint32_t nwords = static_cast<uint32_t>(occupied_.size());
-  uint32_t w = base_ >> 6;
-  uint64_t word = occupied_[w] & (~uint64_t{0} << (base_ & 63));
-  for (uint32_t scanned = 0;; ++scanned) {
-    if (word != 0) {
-      uint32_t found = (w << 6) + static_cast<uint32_t>(std::countr_zero(word));
-      uint32_t k = (found - base_) & bucket_mask_;
-      if (k != 0) {
-        // Skipped buckets are empty: nothing to rotate, nothing to drain.
-        // Spill refs all lie at or beyond the old horizon, so none of them
-        // precedes the bucket this jump lands on.
-        base_ = (base_ + k) & bucket_mask_;
-        cur_end_ = cur_end_ + Duration::Nanos(bucket_width_nanos_ * k);
-      }
-      return;
-    }
-    LASTCPU_CHECK(scanned <= nwords, "occupancy bitmap empty with refs_in_buckets_ > 0");
-    w = (w + 1) % nwords;
-    word = occupied_[w];
-  }
-}
-
 bool Simulator::EnsureNext() {
-  while (true) {
-    while (!cur_.empty() && !RefLive(cur_.front())) {
-      HeapPop(cur_);
-      --cancelled_refs_;
-    }
-    if (!cur_.empty()) {
-      return true;
-    }
-    if (refs_in_buckets_ > 0) {
-      SkipEmptyBuckets();
-      AdvanceOneBucket();
-      continue;
-    }
-    while (!spill_.empty() && !RefLive(spill_.front())) {
-      HeapPop(spill_);
-      --cancelled_refs_;
-    }
-    if (!spill_.empty()) {
-      JumpToSpill();
-      continue;
-    }
-    return false;
+  while (!queue_.empty() && !RefLive(queue_.front())) {
+    PopRef();
+    --cancelled_refs_;
   }
+  return !queue_.empty();
 }
 
 void Simulator::RunTop() {
-  Ref ref = HeapPop(cur_);
+  Ref ref = PopRef();
   Node& node = NodeAt(ref.slot);
   now_ = ref.when;
   ++events_executed_;
@@ -261,7 +137,7 @@ void Simulator::RunTop() {
   again.fn = std::move(fn);
   again.in_queue = true;
   ++pending_count_;
-  InsertRef(Ref{now_ + again.period, next_seq_++, ref.slot, ref.generation});
+  PushRef(Ref{now_ + again.period, next_seq_++, ref.slot, ref.generation});
 }
 
 void Simulator::Run() {
@@ -274,7 +150,7 @@ void Simulator::Run() {
 
 void Simulator::RunUntil(SimTime deadline) {
   LASTCPU_CHECK(deadline >= now_, "RunUntil into the past");
-  while (EnsureNext() && cur_.front().when <= deadline) {
+  while (EnsureNext() && queue_.front().when <= deadline) {
     RunTop();
   }
   now_ = deadline;
@@ -293,35 +169,18 @@ bool Simulator::Step() {
 void Simulator::MaybeCompact() {
   // Compact once cancelled refs outnumber live ones (and are worth the
   // sweep): a schedule-then-cancel burst — per-attempt RPC deadlines that
-  // almost always get cancelled — must not grow the queues unboundedly.
+  // almost always get cancelled — must not grow the queue unboundedly.
   constexpr size_t kCompactFloor = 64;
-  if (cancelled_refs_ < kCompactFloor) {
-    return;
-  }
-  size_t total = cur_.size() + refs_in_buckets_ + spill_.size();
-  if (cancelled_refs_ * 2 > total) {
+  if (cancelled_refs_ >= kCompactFloor && cancelled_refs_ * 2 > queue_.size()) {
     Compact();
   }
 }
 
 void Simulator::Compact() {
-  auto is_stale = [this](const Ref& ref) { return !RefLive(ref); };
-  auto cmp = [](const Ref& a, const Ref& b) {
-    return RefAfter(a.when, a.seq, b.when, b.seq);
-  };
-  cur_.erase(std::remove_if(cur_.begin(), cur_.end(), is_stale), cur_.end());
-  std::make_heap(cur_.begin(), cur_.end(), cmp);
-  spill_.erase(std::remove_if(spill_.begin(), spill_.end(), is_stale), spill_.end());
-  std::make_heap(spill_.begin(), spill_.end(), cmp);
-  for (uint32_t slot = 0; slot < buckets_.size(); ++slot) {
-    std::vector<Ref>& bucket = buckets_[slot];
-    size_t before = bucket.size();
-    bucket.erase(std::remove_if(bucket.begin(), bucket.end(), is_stale), bucket.end());
-    refs_in_buckets_ -= before - bucket.size();
-    if (bucket.empty()) {
-      occupied_[slot >> 6] &= ~(uint64_t{1} << (slot & 63));
-    }
-  }
+  queue_.erase(std::remove_if(queue_.begin(), queue_.end(),
+                              [this](const Ref& ref) { return !RefLive(ref); }),
+               queue_.end());
+  std::make_heap(queue_.begin(), queue_.end(), kRunsAfter);
   cancelled_refs_ = 0;
   ++compactions_;
 }

@@ -5,14 +5,11 @@
 // equal timestamps run in scheduling order, which keeps runs deterministic for
 // a fixed seed — a property the tests rely on.
 //
-// Engine shape (see DESIGN.md "Calendar-queue event core"): events live in
-// pooled nodes addressed by generation-tagged EventIds. Near-future events go
-// into time-indexed calendar buckets (O(1) schedule for the short delays that
-// bus hops, DMA completions, and doorbells generate); the bucket currently
-// being drained is a small binary heap; far-future events (daemons, watchdog
-// periods) sit in a spill heap until the calendar window reaches them.
-// Execution order is globally (timestamp, schedule-seq) — identical to the
-// old comparison-heap engine, just cheaper to maintain.
+// Engine shape (see DESIGN.md "The event core"): events live in pooled nodes
+// addressed by generation-tagged EventIds, and one binary min-heap of small
+// (timestamp, schedule-seq) refs orders them. This system keeps few events
+// pending at a time, so one heap is cheaper than any bucketed structure.
+// Execution order is globally (timestamp, schedule-seq) by construction.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
@@ -47,22 +44,13 @@ class EventId {
   uint32_t generation_ = 0;
 };
 
-// Calendar geometry. The defaults cover a ~2ms near-future window at 512ns
-// resolution, which buckets every bus hop, table update, DMA completion, and
-// NAND array operation; only multi-millisecond daemons spill to the far heap.
-struct CalendarConfig {
-  Duration bucket_width = Duration::Nanos(512);
-  uint32_t bucket_count = 4096;  // must be a power of two
-};
-
 // Single-threaded discrete-event scheduler with a monotonically advancing
 // virtual clock.
 class Simulator {
  public:
-  explicit Simulator(CalendarConfig calendar = {});
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-  ~Simulator();
 
   // Current virtual time. Only advances inside Run*().
   SimTime Now() const { return now_; }
@@ -130,7 +118,7 @@ class Simulator {
 
   // Introspection for tests and the memory-compaction regression suite:
   // queue slots occupied by already-cancelled events, and how many times the
-  // queues were compacted to drop them.
+  // queue was compacted to drop them.
   size_t cancelled_refs() const { return cancelled_refs_; }
   uint64_t compactions() const { return compactions_; }
 
@@ -185,29 +173,16 @@ class Simulator {
     return generations_[ref.slot] == ref.generation;
   }
 
-  // Heap helpers over a plain vector (min-heap on (when, seq)).
-  static void HeapPush(std::vector<Ref>& heap, Ref ref);
-  static Ref HeapPop(std::vector<Ref>& heap);
+  void PushRef(Ref ref);
+  Ref PopRef();
 
-  void InsertRef(Ref ref);
-  SimTime Horizon() const;
-
-  // Makes cur_'s top the globally earliest live event: skims stale refs and
-  // advances the calendar window as needed. False if nothing is pending.
+  // Skims stale refs off the top of the queue. False if nothing is pending.
   bool EnsureNext();
-  // Rotates one bucket into cur_ and pulls newly-in-window spill entries.
-  void AdvanceOneBucket();
-  // Advances base_/cur_end_ past empty buckets to the next occupied one
-  // (precondition: refs_in_buckets_ > 0) without touching the skipped slots.
-  void SkipEmptyBuckets();
-  // With cur_ and all buckets empty, realigns the window at the spill top.
-  void JumpToSpill();
-  void DrainSpillIntoWindow();
 
   // Pops and runs the earliest event. Precondition: EnsureNext() was true.
   void RunTop();
 
-  // Drops cancelled refs from every queue once they outnumber live ones (the
+  // Drops cancelled refs from the queue once they outnumber live ones (the
   // schedule-then-cancel burst pattern would otherwise grow memory
   // unboundedly within a run).
   void MaybeCompact();
@@ -226,22 +201,9 @@ class Simulator {
   std::vector<uint32_t> generations_;
   std::vector<uint32_t> free_slots_;
 
-  // Calendar: cur_ holds refs with when < cur_end_; bucket j (ring order
-  // from base_) covers [cur_end_ + j*W, cur_end_ + (j+1)*W); spill_ holds
-  // refs at or beyond the window horizon.
-  const uint64_t bucket_width_nanos_;
-  const uint32_t bucket_mask_;
-  std::vector<Ref> cur_;
-  std::vector<std::vector<Ref>> buckets_;
-  std::vector<Ref> spill_;
-  SimTime cur_end_;
-  uint32_t base_ = 0;
-  size_t refs_in_buckets_ = 0;
-  // One bit per ring slot: set while that bucket holds any ref (live or
-  // stale). Lets EnsureNext() jump over runs of empty buckets in O(1) word
-  // scans instead of rotating them one at a time — with fine-grained buckets
-  // and sparse events, empty rotations would otherwise dominate.
-  std::vector<uint64_t> occupied_;
+  // Min-heap on (when, seq): the front is the next event to run. Cancelled
+  // events leave stale refs here until they are popped or compacted away.
+  std::vector<Ref> queue_;
 
   size_t pending_count_ = 0;
   // Non-daemon events outstanding (what Run() waits on).
