@@ -128,7 +128,7 @@ ShardedControlClient::ShardedControlClient(dev::Device* requester, std::vector<S
   // ReassertLeasesFor rides out the blackout (sends bounce kUnavailable until
   // the shard is back).
   failed_token_ = requester_->AddPeerFailedHook([this](DeviceId device) {
-    if (config_.reassert_leases && IsShardDevice(device)) {
+    if (IsShardDevice(device)) {
       ReassertLeasesFor(device, 0);
     }
   });
@@ -170,9 +170,6 @@ bool ShardedControlClient::Retryable(const Status& status) {
 
 void ShardedControlClient::RecordLease(Pasid pasid, VirtAddr vaddr, uint64_t bytes,
                                        uint64_t first_frame) {
-  if (!config_.reassert_leases) {
-    return;
-  }
   Lease lease;
   lease.pasid = pasid;
   lease.bytes = PagesForBytes(bytes) * kPageSize;
@@ -193,9 +190,6 @@ ShardedControlClient::Lease* ShardedControlClient::LeaseCovering(VirtAddr vaddr)
 }
 
 void ShardedControlClient::RefreshDirectory(uint32_t attempt) {
-  if (!config_.reassert_leases) {
-    return;
-  }
   ++directory_refreshes_;
   requester_->rpc().Call<proto::ShardDirectoryResponse>(
       kBusDevice, proto::ShardDirectoryRequest{},
@@ -685,10 +679,6 @@ uint64_t MagazineClient::cached_regions() const {
 }
 
 void MagazineClient::Alloc(Pasid pasid, uint64_t bytes, Callback<VirtAddr> done) {
-  if (!config_.enabled) {
-    inner_->Alloc(pasid, bytes, std::move(done));
-    return;
-  }
   uint64_t pages = PagesForBytes(bytes);
   Magazine& magazine = magazines_[Key(pasid.value(), pages)];
   if (!magazine.free.empty()) {
@@ -712,10 +702,6 @@ void MagazineClient::Grant(Pasid pasid, VirtAddr vaddr, uint64_t bytes, DeviceId
 }
 
 void MagazineClient::Free(Pasid pasid, VirtAddr vaddr, uint64_t bytes, Callback<void> done) {
-  if (!config_.enabled) {
-    inner_->Free(pasid, vaddr, bytes, std::move(done));
-    return;
-  }
   // The region goes back on the shelf still mapped; a later Alloc of the same
   // size class reuses it without any unmap/remap round trip. (Same owner and
   // PASID, so no cross-application data leak — re-zeroing is the allocator's

@@ -113,9 +113,6 @@ struct ShardedClientConfig {
   // rebooting or the takeover has not landed yet.
   sim::Duration reassert_backoff = sim::Duration::Micros(100);
   uint32_t max_reassert_attempts = 40;
-  // Master switch for the lease ledger + re-assertion machinery (off turns
-  // the client back into the fail-fast PR-8 behaviour).
-  bool reassert_leases = true;
 };
 
 // Decentralized, rack-scale: allocations pick a controller shard by policy
@@ -245,10 +242,9 @@ class KernelControlClient : public ControlClient {
   DeviceId self_;
 };
 
-// Grant-magazine sizing. Off by default: a disabled magazine forwards every
-// call to its inner client, reproducing the unbatched per-op round trips.
+// Grant-magazine sizing. A caller that wants the unbatched per-op round trips
+// does not wrap its client in a MagazineClient.
 struct MagazineConfig {
-  bool enabled = false;
   // Regions requested per AllocBatch refill.
   uint32_t refill_batch = 32;
   // Steady-state stock level a drain trims back down to.

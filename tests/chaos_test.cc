@@ -314,10 +314,8 @@ RunOutcome RunSchedule(const Schedule& sched, bool batched) {
   if (stub != nullptr) {
     Pasid stub_pasid = machine.NewApplication("magstub");
     stub_inner = std::make_unique<core::BusControlClient>(stub, memctrl.id());
-    core::MagazineConfig magazine;
-    magazine.enabled = true;
-    stub_magazine = std::make_unique<core::MagazineClient>(stub_inner.get(), magazine, stub,
-                                                           memctrl.id());
+    stub_magazine = std::make_unique<core::MagazineClient>(
+        stub_inner.get(), core::MagazineConfig{}, stub, memctrl.id());
     Result<VirtAddr> lease = stub_magazine->AllocSync(stub_pasid, 4 * kPageSize);
     EXPECT_TRUE(lease.ok()) << lease.status().ToString();
     if (lease.ok()) {

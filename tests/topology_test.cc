@@ -260,9 +260,7 @@ TEST(RackMachine, MagazineRidesShardedClientUnchanged) {
   RackRig rig = RackRig::Build();
   core::ShardedControlClient inner(rig.seg1, rig.machine->shard_infos(),
                                    core::AllocationPolicy::kHomeNode);
-  core::MagazineConfig magazine_config;
-  magazine_config.enabled = true;
-  core::MagazineClient magazine(&inner, magazine_config, rig.seg1, rig.shard1->id());
+  core::MagazineClient magazine(&inner, core::MagazineConfig{}, rig.seg1, rig.shard1->id());
   Pasid pasid = rig.machine->NewApplication("app");
   auto va = magazine.AllocSync(pasid, 4 * kPageSize);
   ASSERT_TRUE(va.ok());
