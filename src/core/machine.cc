@@ -144,18 +144,6 @@ void Machine::TeardownApplication(Pasid pasid) {
   bus_.AdminSend(std::move(message));
 }
 
-std::string Machine::StatsReport() {
-  std::string out;
-  out += "== bus ==\n" + bus_.stats().Report("  ");
-  out += "== fabric ==\n" + fabric_.stats().Report("  ");
-  out += "== network ==\n" + network_.stats().Report("  ");
-  for (auto& device : devices_) {
-    out += "== " + device->name() + " (id " + std::to_string(device->id().value()) + ") ==\n";
-    out += device->stats().Report("  ");
-  }
-  return out;
-}
-
 void Machine::WriteChromeTrace(std::ostream& os) const {
   sim::WriteChromeTrace(trace_, os);
 }

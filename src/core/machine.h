@@ -153,9 +153,6 @@ class Machine {
   void TeardownApplication(Pasid pasid);
   const std::vector<std::pair<Pasid, std::string>>& applications() const { return applications_; }
 
-  // Aggregated human-readable statistics from every component.
-  std::string StatsReport();
-
   // --- observability exports ---------------------------------------------------
 
   // Exports the machine's trace as Chrome trace_event JSON (open in
