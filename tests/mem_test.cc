@@ -10,6 +10,7 @@
 #include "src/mem/buddy_allocator.h"
 #include "src/mem/physical_memory.h"
 #include "src/sim/rng.h"
+#include "tests/fingerprint.h"
 
 namespace lastcpu::mem {
 namespace {
@@ -275,6 +276,48 @@ TEST_P(BuddyPropertyTest, RandomAllocFreeNeverOverlaps) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BuddyPropertyTest, ::testing::Values(1, 2, 3, 17, 99));
+
+// Placement is part of the model: a frame number reaches the IOMMUs, the
+// lease receipts and every fingerprinted run. A seeded mix of allocs, frees
+// and reserves over a range that is not a power of two hashes every outcome,
+// so any change to which frame a call returns moves the pinned hash.
+TEST(BuddyTest, SeededSequencePlacesFramesAsPinned) {
+  sim::Rng rng(2021);
+  BuddyAllocator buddy(1000);
+  struct Block {
+    uint64_t frame;
+    uint64_t count;
+  };
+  std::vector<Block> live;
+  testutil::Fnv1a hash;
+  for (int step = 0; step < 4000; ++step) {
+    uint64_t roll = rng.NextBelow(10);
+    if (roll < 5 || live.empty()) {
+      uint64_t count = rng.NextInRange(1, 16);
+      auto frame = buddy.Allocate(count);
+      hash.Add(frame.ok() ? *frame : ~uint64_t{0});
+      if (frame.ok()) {
+        live.push_back(Block{*frame, count});
+      }
+    } else if (roll < 9) {
+      size_t index = rng.NextBelow(live.size());
+      ASSERT_TRUE(buddy.Free(live[index].frame, live[index].count).ok());
+      live.erase(live.begin() + static_cast<ptrdiff_t>(index));
+    } else {
+      uint64_t count = rng.NextInRange(1, 8);
+      uint64_t size = std::bit_ceil(count);
+      uint64_t frame = rng.NextBelow(1000 / size) * size;
+      bool reserved = buddy.Reserve(frame, count).ok();
+      hash.Add(reserved ? frame : ~frame);
+      if (reserved) {
+        live.push_back(Block{frame, count});
+      }
+    }
+    hash.Add(buddy.free_frames());
+  }
+  hash.Add(buddy.LargestFreeBlock());
+  EXPECT_EQ(hash.value(), 0x509b6cdfb0573e22ull) << std::hex << "0x" << hash.value();
+}
 
 }  // namespace
 }  // namespace lastcpu::mem
