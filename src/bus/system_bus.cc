@@ -50,7 +50,7 @@ void SystemBus::WatchdogSweep() {
   }
 }
 
-void SystemBus::Trace(const std::string& event, const std::string& detail, sim::SpanId span) {
+void SystemBus::Trace(std::string_view event, std::string_view detail, sim::SpanId span) {
   tracer_.Instant(event, detail, span);
 }
 
@@ -429,7 +429,7 @@ void SystemBus::HandleBusMessage(proto::Message message) {
       sim::SimTime start = std::max(simulator_->Now(), table_engine_busy_until_);
       sim::SimTime done = start + cost;
       table_engine_busy_until_ = done;
-      stats_.GetHistogram("table_update_latency").Record(done - simulator_->Now());
+      table_update_latency_->Record(done - simulator_->Now());
       simulator_->ScheduleAt(done, [this, m = std::move(message), span] {
         ExecuteMapDirective(m, span);
       });
@@ -462,7 +462,7 @@ void SystemBus::HandleBusMessage(proto::Message message) {
         return;
       }
       message.dst = controller;
-      stats_.GetCounter("forwarded_to_controller").Increment();
+      forwarded_to_controller_->Increment();
       DeliverRouted(std::move(message));
       return;
     }
@@ -588,10 +588,12 @@ void SystemBus::ExecuteMapDirective(const proto::Message& message, sim::SpanId s
       break;
     }
   }
-  stats_.GetCounter(directive.unmap ? "unmap_directives" : "map_directives").Increment();
-  stats_.GetCounter("pages_programmed").Increment(directive.entries.size());
-  Trace(directive.unmap ? "unmap" : "map",
-        "target=" + target->name + " pages=" + std::to_string(directive.entries.size()), span);
+  (directive.unmap ? unmap_directives_ : map_directives_)->Increment();
+  pages_programmed_->Increment(directive.entries.size());
+  if (tracer_.enabled()) {
+    Trace(directive.unmap ? "unmap" : "map",
+          "target=" + target->name + " pages=" + std::to_string(directive.entries.size()), span);
+  }
   if (status.ok()) {
     DeliverTraced(proto::MakeResponse(message, kBusDevice,
                                       proto::MapConfirm{directive.target, directive.pasid}),

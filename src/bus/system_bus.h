@@ -26,6 +26,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -249,7 +250,7 @@ class SystemBus {
   // Privileged: executes a MapDirective on the target's IOMMU under `span`.
   void ExecuteMapDirective(const proto::Message& message, sim::SpanId span);
 
-  void Trace(const std::string& event, const std::string& detail, sim::SpanId span = 0);
+  void Trace(std::string_view event, std::string_view detail, sim::SpanId span = 0);
 
   // Periodic watchdog sweep (armed when heartbeat_timeout > 0).
   void WatchdogSweep();
@@ -302,6 +303,14 @@ class SystemBus {
   // denominator for the scalability benches.
   sim::Counter& broadcast_msgs_ = stats_.GetCounter("broadcast_msgs");
   sim::Histogram& wire_latency_ = stats_.GetHistogram("wire_latency");
+  // Per-directive and per-forward stats, by handle: each enters the registry
+  // at its first use, as a machine that never maps anything must not report
+  // them.
+  sim::LazyCounter map_directives_{&stats_, "map_directives"};
+  sim::LazyCounter unmap_directives_{&stats_, "unmap_directives"};
+  sim::LazyCounter pages_programmed_{&stats_, "pages_programmed"};
+  sim::LazyCounter forwarded_to_controller_{&stats_, "forwarded_to_controller"};
+  sim::LazyHistogram table_update_latency_{&stats_, "table_update_latency"};
   // At most one message is held for reordering at a time; it is released
   // when the next send overtakes it, or by the backstop at the end of the
   // plan's reorder window.

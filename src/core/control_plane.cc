@@ -320,18 +320,19 @@ std::vector<size_t> ShardedControlClient::CandidateOrder() {
       // Home shards first (rotating among them so one segment's shards share
       // load), then the rest in directory order as spill targets.
       uint32_t home = SegmentOf(requester_->id());
-      std::vector<size_t> local;
-      std::vector<size_t> remote;
       for (size_t i = 0; i < shards_.size(); ++i) {
-        (shards_[i].info.segment == home ? local : remote).push_back(i);
-      }
-      if (!local.empty()) {
-        size_t start = rr_next_++ % local.size();
-        for (size_t i = 0; i < local.size(); ++i) {
-          order.push_back(local[(start + i) % local.size()]);
+        if (shards_[i].info.segment == home) {
+          order.push_back(i);
         }
       }
-      order.insert(order.end(), remote.begin(), remote.end());
+      if (!order.empty()) {
+        std::rotate(order.begin(), order.begin() + rr_next_++ % order.size(), order.end());
+      }
+      for (size_t i = 0; i < shards_.size(); ++i) {
+        if (shards_[i].info.segment != home) {
+          order.push_back(i);
+        }
+      }
       break;
     }
     case AllocationPolicy::kCapacityAware: {
@@ -350,23 +351,19 @@ std::vector<size_t> ShardedControlClient::CandidateOrder() {
       break;
     }
   }
-  std::erase_if(order, [this](size_t i) { return !shards_[i].alive; });
-  // After a takeover one device serves several slab records; offer it once.
-  std::vector<size_t> deduped;
-  deduped.reserve(order.size());
+  // Skip dead shards. After a takeover one device serves several slab
+  // records; offer it once, at its first place.
+  auto kept = order.begin();
   for (size_t i : order) {
-    bool seen = false;
-    for (size_t j : deduped) {
-      if (shards_[j].info.device == shards_[i].info.device) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) {
-      deduped.push_back(i);
+    DeviceId device = shards_[i].info.device;
+    bool offered = std::any_of(order.begin(), kept,
+                               [&](size_t j) { return shards_[j].info.device == device; });
+    if (shards_[i].alive && !offered) {
+      *kept++ = i;
     }
   }
-  return deduped;
+  order.erase(kept, order.end());
+  return order;
 }
 
 void ShardedControlClient::Alloc(Pasid pasid, uint64_t bytes, Callback<VirtAddr> done) {

@@ -35,7 +35,7 @@ Device::~Device() {
   context_.bus->Detach(id_);
 }
 
-void Device::TraceEvent(const std::string& event, const std::string& detail) {
+void Device::TraceEvent(std::string_view event, std::string_view detail) {
   tracer_.Instant(event, detail, current_span_);
 }
 
@@ -155,25 +155,18 @@ void Device::RemovePeerPermanentlyFailedHook(uint64_t token) {
 }
 
 bool Device::RegisterRequest(const proto::Message& message) {
-  ReplayKey key{message.src, message.request_id};
-  auto it = replay_cache_.find(key);
-  if (it != replay_cache_.end()) {
+  if (ReplayWindow::Entry* entry = replay_.Find(message.src, message.request_id)) {
     stats_.GetCounter("duplicate_requests").Increment();
-    if (it->second.has_value()) {
+    if (entry->response.has_value()) {
       // Already answered: replay the cached response instead of re-executing
       // the handler (at-most-once execution, at-least-once answer).
       stats_.GetCounter("responses_replayed").Increment();
-      SendOnBus(proto::Message(*it->second));
+      SendOnBus(proto::Message(*entry->response));
     }
     // Still being handled: drop the duplicate; the eventual reply covers it.
     return false;
   }
-  replay_cache_.emplace(key, std::nullopt);
-  replay_order_.push_back(key);
-  if (replay_order_.size() > kReplayWindow) {
-    replay_cache_.erase(replay_order_.front());
-    replay_order_.pop_front();
-  }
+  replay_.Add(message.src, message.request_id);
   return true;
 }
 
@@ -181,9 +174,9 @@ void Device::CacheResponse(const proto::Message& response) {
   if (!response.request_id.valid()) {
     return;
   }
-  auto it = replay_cache_.find(ReplayKey{response.dst, response.request_id});
-  if (it != replay_cache_.end() && !it->second.has_value()) {
-    it->second = response;
+  ReplayWindow::Entry* entry = replay_.Find(response.dst, response.request_id);
+  if (entry != nullptr && !entry->response.has_value()) {
+    entry->response = response;
   }
 }
 
@@ -209,13 +202,13 @@ void Device::ReceiveFromBus(proto::Message message) {
   sim::SimTime start = std::max(context_.simulator->Now(), firmware_busy_until_);
   sim::SimTime done = start + config_.control_processing;
   firmware_busy_until_ = done;
-  context_.simulator->ScheduleAt(done, [this, message = std::move(message), span] {
+  context_.simulator->ScheduleAt(done, [this, message = std::move(message), span]() mutable {
     Dispatch(message, span);
     tracer_.EndSpan(span);
   });
 }
 
-void Device::Dispatch(const proto::Message& message, sim::SpanId span) {
+void Device::Dispatch(proto::Message& message, sim::SpanId span) {
   if (state_ != State::kAlive && state_ != State::kSelfTest) {
     return;  // failed while the message was in flight
   }
@@ -232,7 +225,7 @@ void Device::Dispatch(const proto::Message& message, sim::SpanId span) {
 
   // Responses to our outstanding requests route into the transaction layer.
   if (message.request_id.valid() && proto::IsResponse(message.type())) {
-    if (!rpc_.HandleResponse(message)) {
+    if (!rpc_.HandleResponse(std::move(message))) {
       // Late duplicate or a response to an attempt that already timed out.
       stats_.GetCounter("orphan_responses").Increment();
     }
@@ -401,8 +394,7 @@ void Device::OnReset() {
     }
   }
   rpc_.AbortAll(Aborted("device reset"));
-  replay_cache_.clear();
-  replay_order_.clear();
+  replay_.Clear();
   SetState(State::kSelfTest);
   context_.simulator->Schedule(config_.self_test_duration, [this] {
     if (state_ != State::kSelfTest) {

@@ -11,18 +11,18 @@
 #define SRC_DEV_DEVICE_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "src/base/status.h"
 #include "src/base/types.h"
 #include "src/bus/system_bus.h"
+#include "src/dev/replay_window.h"
 #include "src/dev/rpc.h"
 #include "src/fabric/fabric.h"
 #include "src/iommu/iommu.h"
@@ -167,7 +167,9 @@ class Device {
   // Announce (again) on the bus; used after reset.
   void AnnounceAlive();
 
-  void TraceEvent(const std::string& event, const std::string& detail = "");
+  // A trace instant under the current handling span. Callers that build
+  // `detail` should do so only while tracer().enabled().
+  void TraceEvent(std::string_view event, std::string_view detail = {});
 
   bus::SystemBus* bus_handle() { return context_.bus; }
 
@@ -176,8 +178,9 @@ class Device {
   // dispatches.
   void ReceiveFromBus(proto::Message message);
   // Dispatches under handling span `span` (opened at arrival, closed when
-  // dispatch completes, so it covers firmware queue wait + processing).
-  void Dispatch(const proto::Message& message, sim::SpanId span);
+  // dispatch completes, so it covers firmware queue wait + processing). A
+  // response moves into its transaction; handlers see the message const.
+  void Dispatch(proto::Message& message, sim::SpanId span);
 
   // All outbound control messages funnel here: stamps the active causal
   // context and a fresh flow id, then hands the message to the bus port.
@@ -196,7 +199,7 @@ class Device {
 
   // --- at-most-once replay guard -------------------------------------------
   // The RPC layer may retransmit, and the interconnect may duplicate; the
-  // server side dedups by (requester, request id) over a bounded window so
+  // server side dedups by (requester, request id) over the ReplayWindow so
   // non-idempotent handlers (alloc, open) never execute twice. A duplicate of
   // an already-answered request re-sends the cached response; a duplicate of
   // one still being handled is dropped.
@@ -216,12 +219,7 @@ class Device {
   std::vector<std::unique_ptr<Service>> services_;
   // Instance routing: which service owns each open instance.
   std::map<InstanceId, Service*> instance_owner_;
-  // Replay guard state: key -> cached response (empty until answered), plus
-  // FIFO eviction order bounding the window.
-  using ReplayKey = std::pair<DeviceId, RequestId>;
-  static constexpr size_t kReplayWindow = 256;
-  std::map<ReplayKey, std::optional<proto::Message>> replay_cache_;
-  std::deque<ReplayKey> replay_order_;
+  ReplayWindow replay_;
   // App-level peer-failure subscribers (token -> hook); tokens are shared
   // across both maps so removal needs no kind argument.
   std::map<uint64_t, PeerFailedHook> peer_failed_hooks_;

@@ -30,12 +30,28 @@ sim::Duration RpcEndpoint::AttemptTimeout(const RpcOptions& options) const {
                                                  : device_->config().request_timeout;
 }
 
-void RpcEndpoint::Transmit(RequestId id, const proto::Payload& payload, DeviceId dst,
+RpcEndpoint::Transaction& RpcEndpoint::Open(RequestId id) {
+  if (spare_nodes_.empty()) {
+    return transactions_.try_emplace(transactions_.end(), id)->second;
+  }
+  Transactions::node_type node = std::move(spare_nodes_.back());
+  spare_nodes_.pop_back();
+  node.key() = id;
+  // Ids only grow, so the new transaction goes last.
+  return transactions_.insert(transactions_.end(), std::move(node))->second;
+}
+
+void RpcEndpoint::Recycle(Transactions::node_type node) {
+  node.mapped() = Transaction{};
+  spare_nodes_.push_back(std::move(node));
+}
+
+void RpcEndpoint::Transmit(RequestId id, proto::Payload payload, DeviceId dst,
                            sim::SpanId span) {
   proto::Message message;
   message.dst = dst;
   message.request_id = id;
-  message.payload = payload;
+  message.payload = std::move(payload);
   // Send under the transaction's originating span, so retransmissions fired
   // from timer context keep their causal parent.
   sim::SpanId saved = device_->current_span_;
@@ -51,18 +67,18 @@ RequestId RpcEndpoint::Call(DeviceId dst, proto::Payload payload, RpcOptions opt
     options.max_attempts = 1;
   }
   RequestId id = NextRequestId();
-  Transaction transaction;
+  Transaction& transaction = Open(id);
   transaction.dst = dst;
   transaction.options = options;
   transaction.span = device_->current_span_;
   transaction.callback = std::move(done);
   if (options.max_attempts > 1) {
+    // The one copy a call keeps: what a retransmission sends again.
     transaction.resend = payload;
   }
   transaction.timer =
       device_->simulator()->Schedule(AttemptTimeout(options), [this, id] { OnDeadline(id); });
-  transactions_.emplace(id, std::move(transaction));
-  Transmit(id, payload, dst, device_->current_span_);
+  Transmit(id, std::move(payload), dst, device_->current_span_);
   device_->requests_sent_.Increment();
   return id;
 }
@@ -75,14 +91,13 @@ void RpcEndpoint::Discover(proto::ServiceType type, const std::string& resource,
   // results (open, alloc, ...) chains to this span.
   sim::SpanId span = device_->tracer_.BeginSpan("Discover", device_->current_span_, resource);
   RequestId id = NextRequestId();
-  Transaction transaction;
+  Transaction& transaction = Open(id);
   transaction.dst = kBroadcastDevice;
   transaction.discovery = true;
   transaction.span = span;
   transaction.on_discovery = std::move(on_done);
   transaction.timer =
       device_->simulator()->Schedule(window, [this, id] { FinishDiscovery(id); });
-  transactions_.emplace(id, std::move(transaction));
   Transmit(id, proto::DiscoverRequest{type, resource}, kBroadcastDevice, span);
   device_->stats_.GetCounter("discoveries").Increment();
 }
@@ -122,7 +137,7 @@ void RpcEndpoint::Retransmit(RequestId id) {
   Transmit(id, *transaction.resend, transaction.dst, transaction.span);
 }
 
-bool RpcEndpoint::HandleResponse(const proto::Message& message) {
+bool RpcEndpoint::HandleResponse(proto::Message&& message) {
   auto it = transactions_.find(message.request_id);
   if (it == transactions_.end()) {
     return false;
@@ -140,7 +155,8 @@ bool RpcEndpoint::HandleResponse(const proto::Message& message) {
     Complete(message.request_id, Status(error.code, error.message));
     return true;
   }
-  Complete(message.request_id, message);
+  RequestId id = message.request_id;
+  Complete(id, std::move(message));
   return true;
 }
 
@@ -149,19 +165,18 @@ void RpcEndpoint::Complete(RequestId id, Result<proto::Message> result) {
   if (it == transactions_.end()) {
     return;
   }
-  Transaction transaction = std::move(it->second);
-  transactions_.erase(it);
+  // Out of the table before the callback runs: it may start new calls or
+  // abort others.
+  Transactions::node_type node = transactions_.extract(it);
+  Transaction& transaction = node.mapped();
   device_->simulator()->Cancel(transaction.timer);
   if (transaction.discovery) {
     // An aborted window closes early with whatever was collected.
-    sim::SpanId saved = device_->current_span_;
-    device_->current_span_ = transaction.span;
-    transaction.on_discovery(std::move(transaction.found));
-    device_->current_span_ = saved;
-    device_->tracer_.EndSpan(transaction.span);
-    return;
+    CloseDiscovery(transaction);
+  } else {
+    transaction.callback(std::move(result));
   }
-  transaction.callback(std::move(result));
+  Recycle(std::move(node));
 }
 
 void RpcEndpoint::FinishDiscovery(RequestId id) {
@@ -169,8 +184,12 @@ void RpcEndpoint::FinishDiscovery(RequestId id) {
   if (it == transactions_.end()) {
     return;
   }
-  Transaction transaction = std::move(it->second);
-  transactions_.erase(it);
+  Transactions::node_type node = transactions_.extract(it);
+  CloseDiscovery(node.mapped());
+  Recycle(std::move(node));
+}
+
+void RpcEndpoint::CloseDiscovery(Transaction& transaction) {
   sim::SpanId saved = device_->current_span_;
   device_->current_span_ = transaction.span;
   transaction.on_discovery(std::move(transaction.found));

@@ -92,11 +92,13 @@ class MemoryController : public dev::Device {
   // refused; lease re-assertions are always admitted).
   bool Recovering();
 
-  // Emits a MapDirective to the bus and completes `done` when the mapping is
-  // confirmed (or with the typed error). Directives are idempotent (mapping
-  // the same entries twice is a no-op), so they opt into bounded retries.
+  // Emits a MapDirective to the bus and completes `done` (any callable
+  // taking Result<void>) when the mapping is confirmed, or with the typed
+  // error. Directives are idempotent (mapping the same entries twice is a
+  // no-op), so they opt into bounded retries.
+  template <typename Done>
   void SendDirective(DeviceId target, Pasid pasid, std::vector<proto::MapEntry> entries,
-                     bool unmap, Callback<void> done);
+                     bool unmap, Done&& done);
   // Directs the bus to unmap all of `allocation` from `target`, without
   // waiting for the outcome.
   void SendUnmap(DeviceId target, Pasid pasid, const Allocation& allocation);

@@ -9,13 +9,16 @@
 namespace lastcpu::alloc_counter {
 namespace {
 uint64_t large_blocks = 0;
+uint64_t calls = 0;
 }  // namespace
 
 uint64_t LargeBlocks() { return large_blocks; }
+uint64_t Calls() { return calls; }
 
 }  // namespace lastcpu::alloc_counter
 
 void* operator new(std::size_t size) {
+  ++lastcpu::alloc_counter::calls;
   if (size >= lastcpu::alloc_counter::kLargeBlockBytes) {
     ++lastcpu::alloc_counter::large_blocks;
   }
