@@ -1,6 +1,7 @@
 #include "src/mem/buddy_allocator.h"
 
 #include <bit>
+#include <utility>
 
 #include "src/base/check.h"
 
@@ -25,6 +26,34 @@ BuddyAllocator::BuddyAllocator(uint64_t num_frames)
   }
 }
 
+void BuddyAllocator::AddFree(int order, uint64_t frame) {
+  FreeList& list = free_lists_[static_cast<size_t>(order)];
+  if (spare_free_nodes_.empty()) {
+    list.insert(frame);
+    return;
+  }
+  FreeList::node_type node = std::move(spare_free_nodes_.back());
+  spare_free_nodes_.pop_back();
+  node.value() = frame;
+  list.insert(std::move(node));
+}
+
+void BuddyAllocator::RemoveFree(int order, FreeList::iterator it) {
+  spare_free_nodes_.push_back(free_lists_[static_cast<size_t>(order)].extract(it));
+}
+
+void BuddyAllocator::MarkAllocated(uint64_t frame, int order) {
+  if (spare_allocated_nodes_.empty()) {
+    allocated_.emplace(frame, order);
+    return;
+  }
+  AllocatedMap::node_type node = std::move(spare_allocated_nodes_.back());
+  spare_allocated_nodes_.pop_back();
+  node.key() = frame;
+  node.mapped() = order;
+  allocated_.insert(std::move(node));
+}
+
 int BuddyAllocator::OrderForCount(uint64_t count) {
   LASTCPU_CHECK(count > 0, "allocating zero frames");
   return std::bit_width(count - 1);
@@ -41,12 +70,11 @@ Result<uint64_t> BuddyAllocator::AllocateOrder(int order) {
   // Pop the lowest-address block of the available order.
   auto it = free_lists_[static_cast<size_t>(available)].begin();
   uint64_t frame = *it;
-  free_lists_[static_cast<size_t>(available)].erase(it);
+  RemoveFree(available, it);
   // Split down to the requested order, returning upper halves to free lists.
   while (available > order) {
     --available;
-    uint64_t buddy = frame + (uint64_t{1} << available);
-    free_lists_[static_cast<size_t>(available)].insert(buddy);
+    AddFree(available, frame + (uint64_t{1} << available));
   }
   return frame;
 }
@@ -60,7 +88,7 @@ Result<uint64_t> BuddyAllocator::Allocate(uint64_t count) {
   if (!frame.ok()) {
     return frame.status();
   }
-  allocated_[*frame] = order;
+  MarkAllocated(*frame, order);
   free_frames_ -= uint64_t{1} << order;
   return *frame;
 }
@@ -74,7 +102,7 @@ Status BuddyAllocator::Free(uint64_t first_frame, uint64_t count) {
   if (OrderForCount(count) != order) {
     return InvalidArgument("free size does not match allocation");
   }
-  allocated_.erase(it);
+  spare_allocated_nodes_.push_back(allocated_.extract(it));
   free_frames_ += uint64_t{1} << order;
 
   // Coalesce with the buddy while it is free and within range.
@@ -86,11 +114,11 @@ Status BuddyAllocator::Free(uint64_t first_frame, uint64_t count) {
     if (buddy_it == list.end() || buddy + (uint64_t{1} << order) > num_frames_) {
       break;
     }
-    list.erase(buddy_it);
+    RemoveFree(order, buddy_it);
     frame = std::min(frame, buddy);
     ++order;
   }
-  free_lists_[static_cast<size_t>(order)].insert(frame);
+  AddFree(order, frame);
   return OkStatus();
 }
 
@@ -106,29 +134,30 @@ Status BuddyAllocator::Reserve(uint64_t first_frame, uint64_t count) {
   uint64_t found_frame = 0;
   for (int o = order; o <= kMaxOrder; ++o) {
     uint64_t candidate = first_frame & ~((uint64_t{1} << o) - 1);
-    if (free_lists_[static_cast<size_t>(o)].contains(candidate)) {
+    auto it = free_lists_[static_cast<size_t>(o)].find(candidate);
+    if (it != free_lists_[static_cast<size_t>(o)].end()) {
       found = o;
       found_frame = candidate;
+      RemoveFree(o, it);
       break;
     }
   }
   if (found < 0) {
     return FailedPrecondition("reserve target not free");
   }
-  free_lists_[static_cast<size_t>(found)].erase(found_frame);
   // Split down, keeping the half that contains the target and freeing the
   // other half, until the block is exactly the requested order.
   while (found > order) {
     --found;
     uint64_t half = uint64_t{1} << found;
     if (first_frame >= found_frame + half) {
-      free_lists_[static_cast<size_t>(found)].insert(found_frame);
+      AddFree(found, found_frame);
       found_frame += half;
     } else {
-      free_lists_[static_cast<size_t>(found)].insert(found_frame + half);
+      AddFree(found, found_frame + half);
     }
   }
-  allocated_[found_frame] = order;
+  MarkAllocated(found_frame, order);
   free_frames_ -= size;
   return OkStatus();
 }

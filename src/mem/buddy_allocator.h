@@ -2,6 +2,9 @@
 //
 // The memory controller device uses this to manage DRAM. Classic power-of-two
 // buddy scheme: O(log n) alloc/free, aggressive coalescing, exact accounting.
+// An alloc/free pair splits and re-coalesces the same blocks over and over,
+// so the nodes of erased free-list and allocation entries are kept and
+// reused: traffic at a steady level allocates nothing on the host.
 #ifndef SRC_MEM_BUDDY_ALLOCATOR_H_
 #define SRC_MEM_BUDDY_ALLOCATOR_H_
 
@@ -48,18 +51,29 @@ class BuddyAllocator {
  private:
   static constexpr int kMaxOrder = 32;
 
+  using FreeList = std::set<uint64_t>;
+  using AllocatedMap = std::unordered_map<uint64_t, int>;
+
   static int OrderForCount(uint64_t count);
 
   // Splits blocks until one of exactly `order` is free; returns its frame.
   Result<uint64_t> AllocateOrder(int order);
 
+  // Free-list and allocation-map edits through the spare nodes.
+  void AddFree(int order, uint64_t frame);
+  void RemoveFree(int order, FreeList::iterator it);
+  void MarkAllocated(uint64_t frame, int order);
+
   uint64_t num_frames_;
   uint64_t free_frames_;
   // free_lists_[order] holds first-frame numbers of free blocks of 2^order
   // frames; ordered sets give deterministic (lowest-address-first) placement.
-  std::vector<std::set<uint64_t>> free_lists_;
+  std::vector<FreeList> free_lists_;
   // Allocated block -> order, for Free() validation.
-  std::unordered_map<uint64_t, int> allocated_;
+  AllocatedMap allocated_;
+  // Nodes of erased entries, waiting for the next insert.
+  std::vector<FreeList::node_type> spare_free_nodes_;
+  std::vector<AllocatedMap::node_type> spare_allocated_nodes_;
 };
 
 }  // namespace lastcpu::mem
