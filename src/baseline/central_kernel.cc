@@ -125,8 +125,8 @@ void CentralKernel::UnmapRange(DeviceId device, Pasid pasid, uint64_t vpage, uin
 
 void CentralKernel::UnmapHolders(Pasid pasid, const memdev::Allocation& allocation) {
   UnmapRange(allocation.owner, pasid, allocation.vaddr.page(), allocation.pages);
-  for (const auto& [grantee, access] : allocation.grants) {
-    UnmapRange(grantee, pasid, allocation.vaddr.page(), allocation.pages);
+  for (const memdev::GrantRecord& grant : allocation.grants) {
+    UnmapRange(grant.grantee, pasid, allocation.vaddr.page(), allocation.pages);
   }
 }
 

@@ -246,6 +246,16 @@ class BusDesign {
   uint64_t GrantsHeldBy(DeviceId device) const { return memctrl_->GrantsHeldBy(device); }
   uint64_t AllocatedBytes(Pasid pasid) const { return memctrl_->AllocatedBytes(pasid); }
   uint64_t Counter(std::string_view name) { return memctrl_->stats().GetCounter(name).value(); }
+  // Device `owner` revokes `grantee`'s grant on [vaddr, vaddr + bytes).
+  Result<void> Revoke(int owner, Pasid pasid, VirtAddr vaddr, uint64_t bytes, int grantee) {
+    std::optional<Result<void>> out;
+    devices_[owner]->rpc().Call<void>(kBusDevice,
+                                      proto::RevokeRequest{pasid, vaddr, bytes, id(grantee)},
+                                      [&out](Result<void> result) { out = std::move(result); });
+    while (!out && machine_.simulator().Step()) {
+    }
+    return out.value_or(TimedOut("revoke never completed"));
+  }
   // The crash plan kills the doomed device at 2ms; let its supervised
   // episode run out.
   void Quarantine(int i) {
@@ -289,6 +299,14 @@ class KernelDesign {
   uint64_t GrantsHeldBy(DeviceId device) const { return kernel_.leases().GrantsHeldBy(device); }
   uint64_t AllocatedBytes(Pasid pasid) const { return kernel_.AllocatedBytes(pasid); }
   uint64_t Counter(std::string_view name) { return kernel_.stats().GetCounter(name).value(); }
+  Result<void> Revoke(int owner, Pasid pasid, VirtAddr vaddr, uint64_t bytes, int grantee) {
+    std::optional<Result<void>> out;
+    kernel_.Revoke(id(owner), pasid, vaddr, bytes, id(grantee),
+                   [&out](Result<void> result) { out = std::move(result); });
+    while (!out && simulator_.Step()) {
+    }
+    return out.value_or(TimedOut("revoke never completed"));
+  }
   // Dead silicon: the reset pulses go unanswered until the kernel gives up.
   void Quarantine(int i) {
     kernel_.ReportDeviceFailure(id(i));
@@ -362,6 +380,31 @@ TYPED_TEST(LeaseParityTest, FailedGrantLeavesNoRecord) {
   EXPECT_EQ(granted.status().code(), StatusCode::kNotFound) << granted.status().ToString();
   EXPECT_EQ(design.GrantsHeldBy(detached), 0u);
   EXPECT_TRUE(design.client(0).FreeSync(Pasid(7), *vaddr, 2 * kPageSize).ok());
+  EXPECT_EQ(design.AllocatedBytes(Pasid(7)), 0u);
+}
+
+// A grant overlapping one the grantee already holds would map its first
+// pages and then fail on the overlap, leaving those pages mapped with no
+// grant record behind them; after the revoke and the free, the grantee
+// would still reach freed frames. The table refuses it before any mapping.
+TYPED_TEST(LeaseParityTest, OverlappingGrantIsRefusedBeforeMapping) {
+  TypeParam design;
+  auto vaddr = design.client(0).AllocSync(Pasid(7), 4 * kPageSize);
+  ASSERT_TRUE(vaddr.ok()) << vaddr.status().ToString();
+  VirtAddr upper(vaddr->raw + 2 * kPageSize);
+  ASSERT_TRUE(
+      design.client(0).GrantSync(Pasid(7), upper, 2 * kPageSize, design.id(1), Access::kRead).ok());
+  auto whole =
+      design.client(0).GrantSync(Pasid(7), *vaddr, 4 * kPageSize, design.id(1), Access::kRead);
+  EXPECT_EQ(whole.status().code(), StatusCode::kAlreadyExists) << whole.status().ToString();
+  EXPECT_EQ(design.iommu(1).mapped_pages(Pasid(7)), 2u);
+  EXPECT_EQ(design.GrantsHeldBy(design.id(1)), 1u);
+
+  Result<void> revoked = design.Revoke(0, Pasid(7), upper, 2 * kPageSize, 1);
+  EXPECT_TRUE(revoked.ok()) << revoked.status().ToString();
+  EXPECT_TRUE(design.client(0).FreeSync(Pasid(7), *vaddr, 4 * kPageSize).ok());
+  EXPECT_EQ(design.iommu(1).mapped_pages(Pasid(7)), 0u);
+  EXPECT_EQ(design.GrantsHeldBy(design.id(1)), 0u);
   EXPECT_EQ(design.AllocatedBytes(Pasid(7)), 0u);
 }
 
