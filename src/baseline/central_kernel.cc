@@ -96,15 +96,14 @@ void CentralKernel::SimulateKernelFailover(sim::Duration blackout, Callback<void
                          [done = std::move(done)]() mutable { done(OkStatus()); });
 }
 
-Status CentralKernel::MapRange(DeviceId device, Pasid pasid, uint64_t vpage, uint64_t pframe,
-                               uint64_t pages, Access access) {
-  iommu::Iommu* iommu = FindIommu(device);
+Status CentralKernel::MapRange(Pasid pasid, const memdev::Range& range) {
+  iommu::Iommu* iommu = FindIommu(range.device);
   if (iommu == nullptr) {
     return NotFound("unknown device");
   }
   iommu::ProgrammingKey key;  // the kernel is the privileged mapper here
-  for (uint64_t i = 0; i < pages; ++i) {
-    Status mapped = iommu->Map(key, pasid, vpage + i, pframe + i, access);
+  for (uint64_t i = 0; i < range.pages; ++i) {
+    Status mapped = iommu->Map(key, pasid, range.vpage + i, range.first_frame + i, range.access);
     if (!mapped.ok()) {
       return mapped;
     }
@@ -112,37 +111,20 @@ Status CentralKernel::MapRange(DeviceId device, Pasid pasid, uint64_t vpage, uin
   return OkStatus();
 }
 
-void CentralKernel::UnmapRange(DeviceId device, Pasid pasid, uint64_t vpage, uint64_t pages) {
-  iommu::Iommu* iommu = FindIommu(device);
+void CentralKernel::UnmapRange(Pasid pasid, const memdev::Range& range) {
+  iommu::Iommu* iommu = FindIommu(range.device);
   if (iommu == nullptr) {
     return;
   }
   iommu::ProgrammingKey key;
-  for (uint64_t i = 0; i < pages; ++i) {
-    (void)iommu->Unmap(key, pasid, vpage + i);
+  for (uint64_t i = 0; i < range.pages; ++i) {
+    (void)iommu->Unmap(key, pasid, range.vpage + i);
   }
 }
 
-void CentralKernel::UnmapHolders(Pasid pasid, const memdev::Allocation& allocation) {
-  UnmapRange(allocation.owner, pasid, allocation.vaddr.page(), allocation.pages);
-  for (const memdev::GrantRecord& grant : allocation.grants) {
-    UnmapRange(grant.grantee, pasid, allocation.vaddr.page(), allocation.pages);
-  }
-}
-
-Result<VirtAddr> CentralKernel::AllocateMapped(DeviceId requester, Pasid pasid, uint64_t pages) {
-  auto allocated = leases_.Allocate(requester, pasid, pages, Access::kReadWrite);
-  if (!allocated.ok()) {
-    return allocated.status();
-  }
-  VirtAddr vaddr = (*allocated)->vaddr;
-  Status mapped = MapRange(requester, pasid, vaddr.page(), (*allocated)->first_frame, pages,
-                           Access::kReadWrite);
-  if (!mapped.ok()) {
-    leases_.Release(pasid, vaddr.page());
-    return mapped;
-  }
-  return vaddr;
+void CentralKernel::FreeOwned(Pasid pasid, const memdev::Allocation& allocation) {
+  allocation.ForEachHolder([&](const memdev::Range& range) { UnmapRange(pasid, range); });
+  leases_.Release(pasid, allocation.owner.vpage);
 }
 
 void CentralKernel::AllocMemory(DeviceId requester, Pasid pasid, uint64_t bytes,
@@ -157,7 +139,18 @@ void CentralKernel::AllocMemory(DeviceId requester, Pasid pasid, uint64_t bytes,
       done(InvalidArgument("zero-byte allocation"));
       return;
     }
-    done(AllocateMapped(requester, pasid, pages));
+    auto allocated = leases_.Allocate(requester, pasid, pages, Access::kReadWrite);
+    if (!allocated.ok()) {
+      done(allocated.status());
+      return;
+    }
+    Status mapped = MapRange(pasid, *allocated);
+    if (!mapped.ok()) {
+      leases_.Release(pasid, allocated->vpage);
+      done(mapped);
+      return;
+    }
+    done(allocated->vaddr());
   }, span, CrossSegmentExtra(requester));
 }
 
@@ -174,8 +167,7 @@ void CentralKernel::FreeMemory(DeviceId requester, Pasid pasid, VirtAddr vaddr, 
       done(owned.status());
       return;
     }
-    UnmapHolders(pasid, **owned);
-    leases_.Release(pasid, vaddr.page());
+    FreeOwned(pasid, **owned);
     done(OkStatus());
   }, span, CrossSegmentExtra(requester));
 }
@@ -194,20 +186,25 @@ void CentralKernel::AllocMemoryBatch(DeviceId requester, Pasid pasid, uint64_t b
       done(InvalidArgument("empty batch allocation"));
       return;
     }
+    auto leased = leases_.AllocateBatch(requester, pasid, pages, count, Access::kReadWrite);
+    if (!leased.ok()) {
+      done(leased.status());
+      return;
+    }
     std::vector<VirtAddr> vaddrs;
     vaddrs.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      auto vaddr = AllocateMapped(requester, pasid, pages);
-      if (!vaddr.ok()) {
-        // The batch leases as one unit: roll back what it already mapped.
-        for (VirtAddr leased : vaddrs) {
-          UnmapRange(requester, pasid, leased.page(), pages);
-          leases_.Release(pasid, leased.page());
+    for (const memdev::Range& range : *leased) {
+      Status mapped = MapRange(pasid, range);
+      if (!mapped.ok()) {
+        // The batch leases as one unit: unmap what it mapped, release it all.
+        for (const memdev::Range& undo : *leased) {
+          UnmapRange(pasid, undo);
         }
-        done(vaddr.status());
+        leases_.Release(pasid, *leased);
+        done(mapped);
         return;
       }
-      vaddrs.push_back(*vaddr);
+      vaddrs.push_back(range.vaddr());
     }
     stats_.GetCounter("batch_allocs").Increment();
     done(std::move(vaddrs));
@@ -239,8 +236,7 @@ void CentralKernel::FreeMemoryBatch(DeviceId requester, Pasid pasid, std::vector
     for (VirtAddr vaddr : vaddrs) {
       auto owned = leases_.Owned(requester, pasid, vaddr, pages);
       if (owned.ok()) {
-        UnmapHolders(pasid, **owned);
-        leases_.Release(pasid, vaddr.page());
+        FreeOwned(pasid, **owned);
       }
     }
     stats_.GetCounter("batch_frees").Increment();
@@ -255,17 +251,13 @@ void CentralKernel::Grant(DeviceId owner, Pasid pasid, VirtAddr vaddr, uint64_t 
   sim::Duration service = config_.mm_service + config_.per_page_cost * pages;
   sim::SpanId span = BeginOpSpan("Grant", "pasid=" + std::to_string(pasid.value()) +
                                               " grantee=" + std::to_string(grantee.value()));
-  RunOnCpu(service, [this, owner, pasid, vaddr, bytes, pages, grantee, access,
-                     done = std::move(done)] {
+  RunOnCpu(service, [this, owner, pasid, vaddr, bytes, grantee, access, done = std::move(done)] {
     auto granted = leases_.Grant(owner, pasid, vaddr, bytes, grantee, access);
     if (!granted.ok()) {
       done(granted.status());
       return;
     }
-    const memdev::Allocation& allocation = **granted;
-    uint64_t page_delta = vaddr.page() - allocation.vaddr.page();
-    Status mapped = MapRange(grantee, pasid, vaddr.page(), allocation.first_frame + page_delta,
-                             pages, access);
+    Status mapped = MapRange(pasid, *granted);
     if (!mapped.ok()) {
       leases_.DropGrant(pasid, vaddr, bytes, grantee);
     }
@@ -280,10 +272,10 @@ void CentralKernel::Revoke(DeviceId owner, Pasid pasid, VirtAddr vaddr, uint64_t
   sim::Duration service = config_.mm_service + config_.per_page_cost * pages;
   sim::SpanId span = BeginOpSpan("Revoke", "pasid=" + std::to_string(pasid.value()) +
                                                " grantee=" + std::to_string(grantee.value()));
-  RunOnCpu(service, [this, owner, pasid, vaddr, bytes, pages, grantee, done = std::move(done)] {
+  RunOnCpu(service, [this, owner, pasid, vaddr, bytes, grantee, done = std::move(done)] {
     auto revoked = leases_.Revoke(owner, pasid, vaddr, bytes, grantee);
     if (revoked.ok()) {
-      UnmapRange(grantee, pasid, vaddr.page(), pages);
+      UnmapRange(pasid, *revoked);
     }
     done(revoked.status());
   }, span, CrossSegmentExtra(owner));
@@ -294,16 +286,14 @@ void CentralKernel::Teardown(Pasid pasid, Callback<void> done) {
   uint64_t pages = 0;
   if (const memdev::LeaseTable::Table* table = leases_.TableOf(pasid)) {
     for (const auto& [vpage, allocation] : *table) {
-      pages += allocation.pages * (1 + allocation.grants.size());
+      allocation.ForEachHolder([&](const memdev::Range& range) { pages += range.pages; });
     }
   }
   sim::Duration service = config_.mm_service + config_.per_page_cost * pages;
   sim::SpanId span = BeginOpSpan("Teardown", "pasid=" + std::to_string(pasid.value()));
   RunOnCpu(service, [this, pasid, done = std::move(done)] {
-    leases_.Teardown(pasid, [this](DeviceId target, Pasid app,
-                                   const memdev::Allocation& allocation) {
-      UnmapRange(target, app, allocation.vaddr.page(), allocation.pages);
-    });
+    leases_.Teardown(pasid,
+                     [this](Pasid app, const memdev::Range& range) { UnmapRange(app, range); });
     done(OkStatus());
   }, span);
 }
@@ -349,9 +339,7 @@ void CentralKernel::OnDeviceAlive(DeviceId device) {
 
 void CentralKernel::ReclaimDevice(DeviceId device) {
   auto reclaimed = leases_.Reclaim(
-      device, [this](DeviceId target, Pasid pasid, const memdev::Allocation& allocation) {
-        UnmapRange(target, pasid, allocation.vaddr.page(), allocation.pages);
-      });
+      device, [this](Pasid pasid, const memdev::Range& range) { UnmapRange(pasid, range); });
   if (reclaimed.pages > 0) {
     // Bill the page-table scrubbing as handler time on the CPU.
     RunOnCpu(config_.per_page_cost * reclaimed.pages, [] {});

@@ -12,10 +12,10 @@
 //   * direct IOMMU programming (it is the second legal holder of
 //     iommu::ProgrammingKey).
 // The mechanism is the decentralized design's own: allocations and grants
-// live in a memdev::LeaseTable, the memory controller's table, and failed
-// devices go through bus::DeviceSupervisor, whose decisions the kernel takes
-// on its CPU. So the two designs differ by construction only in *where*
-// control runs.
+// live in a memdev::LeaseTable, the memory controller's table, which names
+// the exact range of every mapping to make or remove. Failed devices go
+// through bus::DeviceSupervisor, whose decisions the kernel takes on its CPU.
+// So the two designs differ by construction only in *where* control runs.
 #ifndef SRC_BASELINE_CENTRAL_KERNEL_H_
 #define SRC_BASELINE_CENTRAL_KERNEL_H_
 
@@ -164,13 +164,12 @@ class CentralKernel {
   void ReclaimDevice(DeviceId device);
 
   iommu::Iommu* FindIommu(DeviceId device);
-  Status MapRange(DeviceId device, Pasid pasid, uint64_t vpage, uint64_t pframe, uint64_t pages,
-                  Access access);
-  void UnmapRange(DeviceId device, Pasid pasid, uint64_t vpage, uint64_t pages);
-  // Unmaps an allocation from its owner and every grantee.
-  void UnmapHolders(Pasid pasid, const memdev::Allocation& allocation);
-  // Allocates `pages` for `requester` and maps them into its IOMMU.
-  Result<VirtAddr> AllocateMapped(DeviceId requester, Pasid pasid, uint64_t pages);
+  // Maps `range` into its device's IOMMU, stopping at the first failure.
+  Status MapRange(Pasid pasid, const memdev::Range& range);
+  // Unmaps `range` from its device's IOMMU, skipping pages it does not map.
+  void UnmapRange(Pasid pasid, const memdev::Range& range);
+  // Unmaps the allocation from every holder, then releases it.
+  void FreeOwned(Pasid pasid, const memdev::Allocation& allocation);
 
   sim::Simulator* simulator_;
   CentralKernelConfig config_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "src/base/check.h"
 
@@ -18,7 +19,7 @@ bool Overlaps(const LeaseTable::Table& table, uint64_t vpage, uint64_t pages) {
   // Allocation starting before vpage may still cover it.
   if (next != table.begin()) {
     auto prev = std::prev(next);
-    if (prev->first + prev->second.pages > vpage) {
+    if (prev->first + prev->second.owner.pages > vpage) {
       return true;
     }
   }
@@ -72,8 +73,8 @@ Result<uint64_t> LeaseTable::PlaceVirtual(Pasid pasid, uint64_t pages, VirtAddr 
   return vpage;
 }
 
-Result<const Allocation*> LeaseTable::Allocate(DeviceId owner, Pasid pasid, uint64_t pages,
-                                               Access access, VirtAddr hint) {
+Result<Range> LeaseTable::Allocate(DeviceId owner, Pasid pasid, uint64_t pages, Access access,
+                                   VirtAddr hint) {
   LASTCPU_RETURN_IF_ERROR(Admit(pasid, pages * kPageSize));
   auto vpage = PlaceVirtual(pasid, pages, hint);
   if (!vpage.ok()) {
@@ -91,17 +92,28 @@ Result<const Allocation*> LeaseTable::Allocate(DeviceId owner, Pasid pasid, uint
   for (uint64_t i = 0; i < pages; ++i) {
     memory_->ZeroFrame(first_frame + i);
   }
-  Allocation allocation;
-  allocation.vaddr = VirtAddr(*vpage << kPageShift);
-  allocation.pages = pages;
-  allocation.first_frame = first_frame;
-  allocation.owner = owner;
-  allocation.owner_access = access;
-  auto it = tables_[pasid].emplace(*vpage, allocation).first;
+  Range range{.device = owner, .access = access, .vpage = *vpage,
+              .first_frame = first_frame, .pages = pages};
+  tables_[pasid].emplace(*vpage, Allocation{range, {}});
   bytes_allocated_[pasid] += pages * kPageSize;
   allocations_->Increment();
   pages_allocated_->Increment(pages);
-  return &it->second;
+  return range;
+}
+
+Result<std::vector<Range>> LeaseTable::AllocateBatch(DeviceId owner, Pasid pasid, uint64_t pages,
+                                                     uint32_t count, Access access) {
+  LASTCPU_RETURN_IF_ERROR(Admit(pasid, count * pages * kPageSize));
+  std::vector<Range> ranges;
+  for (uint32_t i = 0; i < count; ++i) {
+    auto allocated = Allocate(owner, pasid, pages, access);
+    if (!allocated.ok()) {
+      Release(pasid, ranges);
+      return allocated.status();
+    }
+    ranges.push_back(*allocated);
+  }
+  return ranges;
 }
 
 Result<const Allocation*> LeaseTable::Owned(DeviceId requester, Pasid pasid, VirtAddr vaddr,
@@ -111,26 +123,25 @@ Result<const Allocation*> LeaseTable::Owned(DeviceId requester, Pasid pasid, Vir
     return NotFound("no allocations for PASID");
   }
   auto it = table_it->second.find(vaddr.page());
-  if (it == table_it->second.end() || it->second.pages != pages) {
+  if (it == table_it->second.end() || it->second.owner.pages != pages) {
     return NotFound(std::string(not_found));
   }
-  if (it->second.owner != requester) {
+  if (it->second.owner.device != requester) {
     Count("authorization_failures");
     return PermissionDenied("only the owner may free an allocation");
   }
   return &it->second;
 }
 
-void LeaseTable::FreeFrames(const Allocation& allocation) {
-  if (foreign_frames_.erase(allocation.first_frame) > 0) {
+void LeaseTable::FreeFrames(const Range& owned) {
+  if (foreign_frames_.erase(owned.first_frame) > 0) {
     // An adopted range: the frames belong to a failed shard's slice, not this
     // allocator. Dropping the adoption record is the release.
     Count("foreign_frames_released");
     return;
   }
-  LASTCPU_CHECK(
-      allocator_.Free(allocation.first_frame - slice_.frame_base, allocation.pages).ok(),
-      "allocator table out of sync");
+  LASTCPU_CHECK(allocator_.Free(owned.first_frame - slice_.frame_base, owned.pages).ok(),
+                "allocator table out of sync");
 }
 
 void LeaseTable::Release(Pasid pasid, uint64_t vpage) {
@@ -142,10 +153,16 @@ void LeaseTable::Release(Pasid pasid, uint64_t vpage) {
   if (it == table_it->second.end()) {
     return;
   }
-  FreeFrames(it->second);
-  bytes_allocated_[pasid] -= it->second.pages * kPageSize;
+  FreeFrames(it->second.owner);
+  bytes_allocated_[pasid] -= it->second.owner.pages * kPageSize;
   frees_->Increment();
   table_it->second.erase(it);
+}
+
+void LeaseTable::Release(Pasid pasid, std::span<const Range> owned) {
+  for (const Range& range : owned) {
+    Release(pasid, range.vpage);
+  }
 }
 
 Allocation* LeaseTable::FindCovering(Pasid pasid, VirtAddr vaddr, uint64_t bytes) {
@@ -159,20 +176,20 @@ Allocation* LeaseTable::FindCovering(Pasid pasid, VirtAddr vaddr, uint64_t bytes
   }
   auto it = std::prev(next);
   uint64_t want_end = PageCeil(vaddr.raw + bytes) >> kPageShift;
-  if (vaddr.page() >= it->first && want_end <= it->first + it->second.pages) {
+  if (vaddr.page() >= it->first && want_end <= it->first + it->second.owner.pages) {
     return &it->second;
   }
   return nullptr;
 }
 
-Result<const Allocation*> LeaseTable::Grant(DeviceId owner, Pasid pasid, VirtAddr vaddr,
-                                            uint64_t bytes, DeviceId grantee, Access access) {
+Result<Range> LeaseTable::Grant(DeviceId owner, Pasid pasid, VirtAddr vaddr, uint64_t bytes,
+                                DeviceId grantee, Access access) {
   Allocation* allocation = FindCovering(pasid, vaddr, bytes);
   if (allocation == nullptr) {
     return NotFound("grant range is not an allocated region");
   }
   // Authorization (Sec. 3): only the owner of a region may grant it.
-  if (allocation->owner != owner) {
+  if (allocation->owner.device != owner) {
     Count("authorization_failures");
     return PermissionDenied("only the owner may grant a region");
   }
@@ -180,65 +197,69 @@ Result<const Allocation*> LeaseTable::Grant(DeviceId owner, Pasid pasid, VirtAdd
     return InvalidArgument("cannot grant a region to its owner");
   }
   // The grantee may not receive more rights than the owner holds.
-  if (!AccessCovers(allocation->owner_access, access)) {
+  if (!AccessCovers(allocation->owner.access, access)) {
     Count("authorization_failures");
     return PermissionDenied("grant requests more access than the owner holds");
   }
   uint64_t vpage = vaddr.page();
   uint64_t pages = PagesForBytes(bytes);
-  for (const GrantRecord& held : allocation->grants) {
-    if (held.grantee == grantee && vpage < held.vpage + held.pages &&
+  for (const Range& held : allocation->grants) {
+    if (held.device == grantee && vpage < held.vpage + held.pages &&
         held.vpage < vpage + pages) {
       return AlreadyExists("grantee already holds a grant overlapping the range");
     }
   }
-  allocation->grants.push_back(GrantRecord{grantee, access, vpage, pages});
+  uint64_t first_frame = allocation->owner.first_frame + (vpage - allocation->owner.vpage);
+  Range range{.device = grantee, .access = access, .vpage = vpage,
+              .first_frame = first_frame, .pages = pages};
+  allocation->grants.push_back(range);
   grants_->Increment();
-  return allocation;
+  return range;
 }
 
-void LeaseTable::DropGrant(Pasid pasid, VirtAddr vaddr, uint64_t bytes, DeviceId grantee) {
+std::optional<Range> LeaseTable::DropGrant(Pasid pasid, VirtAddr vaddr, uint64_t bytes,
+                                           DeviceId grantee) {
   Allocation* allocation = FindCovering(pasid, vaddr, bytes);
   if (allocation == nullptr) {
-    return;
+    return std::nullopt;
   }
   auto& grants = allocation->grants;
-  auto it = std::find_if(grants.rbegin(), grants.rend(),
-                         [&](const GrantRecord& grant) { return grant.grantee == grantee; });
-  if (it != grants.rend()) {
-    grants.erase(std::next(it).base());
+  auto it = std::find_if(grants.begin(), grants.end(), [&](const Range& grant) {
+    return grant.device == grantee && grant.vpage == vaddr.page() &&
+           grant.pages == PagesForBytes(bytes);
+  });
+  if (it == grants.end()) {
+    return std::nullopt;
   }
+  Range range = *it;
+  grants.erase(it);
+  return range;
 }
 
-Result<const Allocation*> LeaseTable::Revoke(DeviceId owner, Pasid pasid, VirtAddr vaddr,
-                                             uint64_t bytes, DeviceId grantee) {
+Result<Range> LeaseTable::Revoke(DeviceId owner, Pasid pasid, VirtAddr vaddr, uint64_t bytes,
+                                 DeviceId grantee) {
   Allocation* allocation = FindCovering(pasid, vaddr, bytes);
   if (allocation == nullptr) {
     return NotFound("revoke range is not an allocated region");
   }
-  if (allocation->owner != owner) {
+  if (allocation->owner.device != owner) {
     Count("authorization_failures");
     return PermissionDenied("only the owner may revoke a grant");
   }
-  auto it = std::find_if(allocation->grants.begin(), allocation->grants.end(),
-                         [&](const GrantRecord& grant) { return grant.grantee == grantee; });
-  if (it == allocation->grants.end()) {
+  std::optional<Range> revoked = DropGrant(pasid, vaddr, bytes, grantee);
+  if (!revoked) {
     return NotFound("no such grant");
   }
-  allocation->grants.erase(it);
   Count("revokes");
-  return allocation;
+  return *revoked;
 }
 
 void LeaseTable::Teardown(Pasid pasid, const UnmapFn& unmap) {
   auto table_it = tables_.find(pasid);
   if (table_it != tables_.end()) {
     for (const auto& [vpage, allocation] : table_it->second) {
-      unmap(allocation.owner, pasid, allocation);
-      for (const GrantRecord& grant : allocation.grants) {
-        unmap(grant.grantee, pasid, allocation);
-      }
-      FreeFrames(allocation);
+      allocation.ForEachHolder([&](const Range& range) { unmap(pasid, range); });
+      FreeFrames(allocation.owner);
     }
     tables_.erase(table_it);
   }
@@ -251,11 +272,8 @@ uint64_t LeaseTable::DropGrantsHeldBy(DeviceId device) {
   uint64_t dropped = 0;
   for (auto& [pasid, table] : tables_) {
     for (auto& [vpage, allocation] : table) {
-      auto removed =
-          std::remove_if(allocation.grants.begin(), allocation.grants.end(),
-                         [&](const GrantRecord& grant) { return grant.grantee == device; });
-      dropped += static_cast<uint64_t>(allocation.grants.end() - removed);
-      allocation.grants.erase(removed, allocation.grants.end());
+      dropped += std::erase_if(allocation.grants,
+                               [&](const Range& grant) { return grant.device == device; });
     }
   }
   return dropped;
@@ -269,7 +287,7 @@ LeaseTable::Reclaimed LeaseTable::Reclaim(DeviceId device, const UnmapFn& unmap)
   std::vector<std::pair<Pasid, uint64_t>> owned;
   for (const auto& [pasid, table] : tables_) {
     for (const auto& [vpage, allocation] : table) {
-      if (allocation.owner == device) {
+      if (allocation.owner.device == device) {
         owned.emplace_back(pasid, vpage);
       }
     }
@@ -282,13 +300,15 @@ LeaseTable::Reclaimed LeaseTable::Reclaim(DeviceId device, const UnmapFn& unmap)
     }
     const Allocation& allocation = it->second;
     // Surviving grantees still hold live mappings into frames about to be
-    // reused.
-    for (const GrantRecord& grant : allocation.grants) {
-      unmap(grant.grantee, pasid, allocation);
-    }
+    // reused. The dead owner's own IOMMU is scrubbed already.
+    allocation.ForEachHolder([&](const Range& range) {
+      if (range.device != device) {
+        unmap(pasid, range);
+      }
+    });
     Count("stranded_grants_reclaimed", allocation.grants.size());
     ++reclaimed.allocations;
-    reclaimed.pages += allocation.pages;
+    reclaimed.pages += allocation.owner.pages;
     Release(pasid, vpage);
     Count("permanent_reclaims");
   }
@@ -324,8 +344,8 @@ bool LeaseTable::Readmit(DeviceId owner, const proto::LeaseRecord& lease) {
     // Idempotent if it is exactly this owner's own record (a retried
     // re-assert); otherwise the placement is taken and the lease is dead.
     auto it = table.find(vpage);
-    if (it != table.end() && it->second.pages == pages &&
-        it->second.first_frame == lease.first_frame && it->second.owner == owner) {
+    if (it != table.end() && it->second.owner.pages == pages &&
+        it->second.owner.first_frame == lease.first_frame && it->second.owner.device == owner) {
       return true;
     }
     Count("lease_reasserts_rejected");
@@ -343,17 +363,16 @@ bool LeaseTable::Readmit(DeviceId owner, const proto::LeaseRecord& lease) {
     Count("lease_reasserts_rejected");
     return false;
   }
-  Allocation allocation;
-  allocation.vaddr = lease.vaddr;
-  allocation.pages = pages;
-  allocation.first_frame = lease.first_frame;
-  allocation.owner = owner;
-  allocation.owner_access = lease.access;
+  Range whole{.device = owner, .access = lease.access, .vpage = vpage,
+              .first_frame = lease.first_frame, .pages = pages};
+  Allocation allocation{whole, {}};
   // A lease receipt names no grant ranges: each covers the whole region.
   for (const auto& grant : lease.grants) {
-    allocation.grants.push_back(GrantRecord{grant.grantee, grant.access, vpage, pages});
+    whole.device = grant.grantee;
+    whole.access = grant.access;
+    allocation.grants.push_back(whole);
   }
-  table.emplace(vpage, allocation);
+  table.emplace(vpage, std::move(allocation));
   bytes_allocated_[lease.pasid] += pages * kPageSize;
   // Keep the bump pointer clear of re-admitted regions so later allocations
   // cannot race into the same VA range. Adopted leases from a dead shard's
@@ -401,7 +420,7 @@ uint64_t LeaseTable::AllocationsOwnedBy(DeviceId device) const {
   uint64_t count = 0;
   for (const auto& [pasid, table] : tables_) {
     for (const auto& [vpage, allocation] : table) {
-      if (allocation.owner == device) {
+      if (allocation.owner.device == device) {
         ++count;
       }
     }
@@ -413,8 +432,8 @@ uint64_t LeaseTable::GrantsHeldBy(DeviceId device) const {
   uint64_t count = 0;
   for (const auto& [pasid, table] : tables_) {
     for (const auto& [vpage, allocation] : table) {
-      for (const GrantRecord& grant : allocation.grants) {
-        if (grant.grantee == device) {
+      for (const Range& grant : allocation.grants) {
+        if (grant.device == device) {
           ++count;
         }
       }
@@ -429,7 +448,7 @@ bool LeaseTable::HasAllocationAt(Pasid pasid, VirtAddr vaddr) const {
     return false;
   }
   auto entry = table->second.find(vaddr.page());
-  return entry != table->second.end() && entry->second.vaddr == vaddr;
+  return entry != table->second.end() && entry->second.owner.vaddr() == vaddr;
 }
 
 }  // namespace lastcpu::memdev

@@ -5,11 +5,11 @@
 // owns a slice of physical frames and a VA slab per application (PASID). It
 // places and backs allocations, checks owners, access and quotas, records
 // grants, and reclaims what a dead device leaves behind. It never programs an
-// IOMMU. An operation that changes mappings names the devices to map or
-// unmap, and the caller does it: the controller sends a MapDirective to the
-// bus, the kernel programs the IOMMU itself. So the two designs enforce the
-// same policy by construction and differ only in where, and at what cost,
-// control runs.
+// IOMMU. An operation that changes mappings hands the caller the exact Range
+// of each mapping to make or remove, and the caller does it: the controller
+// sends a MapDirective to the bus, the kernel programs the IOMMU itself. So
+// the two designs enforce the same policy by construction, map and unmap the
+// same pages, and differ only in where, and at what cost, control runs.
 //
 // Counters go to the caller's StatsRegistry and are created on first
 // increment, so a counter a run never touches stays out of its metrics.
@@ -19,8 +19,9 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
+#include <span>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "src/base/status.h"
@@ -36,22 +37,33 @@ namespace lastcpu::memdev {
 // table's VA slab. Low VA space is left to the application's own layout.
 inline constexpr uint64_t kVaBumpBase = uint64_t{1} << 32;
 
-// One grant on an allocation: who may map which of its pages, how.
-struct GrantRecord {
-  DeviceId grantee;
+// One mapping a lease backs: `device` maps `pages` pages from virtual page
+// `vpage` onto the frames from `first_frame` (absolute), with `access`.
+struct Range {
+  DeviceId device;
   Access access = Access::kReadWrite;
-  uint64_t vpage = 0;  // first granted page
+  uint64_t vpage = 0;
+  uint64_t first_frame = 0;
   uint64_t pages = 0;
+
+  VirtAddr vaddr() const { return VirtAddr(vpage << kPageShift); }
 };
 
-// One live allocation in the table.
+// One live allocation: the owner's range is all of it, and each grant is
+// exactly the pages granted.
 struct Allocation {
-  VirtAddr vaddr;
-  uint64_t pages = 0;
-  uint64_t first_frame = 0;  // absolute frame number
-  DeviceId owner;            // the device that requested it (may grant it onward)
-  Access owner_access = Access::kReadWrite;
-  std::vector<GrantRecord> grants;
+  Range owner;  // the device that requested it (may grant it onward)
+  std::vector<Range> grants;
+
+  // Calls `fn(range)` for every mapping the allocation backs: the owner's,
+  // then each grant's, in grant order.
+  template <typename Fn>
+  void ForEachHolder(Fn&& fn) const {
+    fn(owner);
+    for (const Range& grant : grants) {
+      fn(grant);
+    }
+  }
 };
 
 // What a table hands out. All zero is the classic single table that owns
@@ -73,19 +85,23 @@ struct LeaseSlice {
 class LeaseTable {
  public:
   using Table = std::map<uint64_t, Allocation>;  // keyed by start vpage
-  // Called once per device whose mapping of `allocation` must go.
-  using UnmapFn = std::function<void(DeviceId target, Pasid pasid, const Allocation& allocation)>;
+  // Called once per mapping that must go.
+  using UnmapFn = std::function<void(Pasid pasid, const Range& range)>;
 
   LeaseTable(mem::PhysicalMemory* memory, sim::StatsRegistry* stats, LeaseSlice slice = {});
 
   // --- allocation ------------------------------------------------------------
 
-  // ResourceExhausted if `bytes` more would put `pasid` over its quota.
-  Status Admit(Pasid pasid, uint64_t bytes);
   // Admits, places (at `hint` when nonzero), backs with zero-filled frames
   // and records `pages` owned by `owner`, who may grant up to `access`.
-  Result<const Allocation*> Allocate(DeviceId owner, Pasid pasid, uint64_t pages, Access access,
-                                     VirtAddr hint = VirtAddr(0));
+  // Returns the owner's range, which the caller then maps.
+  Result<Range> Allocate(DeviceId owner, Pasid pasid, uint64_t pages, Access access,
+                         VirtAddr hint = VirtAddr(0));
+  // `count` allocations of `pages` each, all or none: the quota is checked
+  // for the whole batch first, and a placement or frame shortage partway
+  // releases what the batch already took. Returns the owners' ranges.
+  Result<std::vector<Range>> AllocateBatch(DeviceId owner, Pasid pasid, uint64_t pages,
+                                           uint32_t count, Access access);
   // The allocation of `pages` starting exactly at `vaddr`, if `requester`
   // owns it (the check before a free).
   Result<const Allocation*> Owned(DeviceId requester, Pasid pasid, VirtAddr vaddr, uint64_t pages,
@@ -93,27 +109,29 @@ class LeaseTable {
   // Releases the allocation starting at `vpage`, if it is still there. Any
   // unmapping must already have been done.
   void Release(Pasid pasid, uint64_t vpage);
+  // Releases the allocations whose owner ranges `owned` lists.
+  void Release(Pasid pasid, std::span<const Range> owned);
 
   // --- grants ----------------------------------------------------------------
 
   // Records that `owner` grants [vaddr, vaddr + bytes) to `grantee`, and
-  // returns the allocation covering it. The caller then maps the grantee.
+  // returns the grantee's range. The caller then maps it.
   // AlreadyExists if `grantee` already holds a grant overlapping the range:
   // mapping it would fail partway, on the first page mapped twice.
-  Result<const Allocation*> Grant(DeviceId owner, Pasid pasid, VirtAddr vaddr, uint64_t bytes,
-                                  DeviceId grantee, Access access);
-  // Removes a grant record whose mapping failed: the most recent one of
-  // `grantee` on the allocation covering [vaddr, vaddr + bytes), if any.
-  void DropGrant(Pasid pasid, VirtAddr vaddr, uint64_t bytes, DeviceId grantee);
-  // Removes `grantee`'s grant and returns the allocation; the caller then
-  // unmaps the grantee.
-  Result<const Allocation*> Revoke(DeviceId owner, Pasid pasid, VirtAddr vaddr, uint64_t bytes,
-                                   DeviceId grantee);
+  Result<Range> Grant(DeviceId owner, Pasid pasid, VirtAddr vaddr, uint64_t bytes,
+                      DeviceId grantee, Access access);
+  // Removes the grant whose mapping failed: `grantee`'s grant of exactly
+  // [vaddr, vaddr + bytes), if it is still recorded. Returns its range.
+  std::optional<Range> DropGrant(Pasid pasid, VirtAddr vaddr, uint64_t bytes, DeviceId grantee);
+  // Removes `grantee`'s grant of exactly [vaddr, vaddr + bytes) and returns
+  // its range; the caller then unmaps it. NotFound if no grant matches.
+  Result<Range> Revoke(DeviceId owner, Pasid pasid, VirtAddr vaddr, uint64_t bytes,
+                       DeviceId grantee);
 
   // --- whole-application and whole-device reclaim ----------------------------
 
-  // Drops everything `pasid` holds, calling `unmap` for the owner and every
-  // grantee of each allocation first.
+  // Drops everything `pasid` holds, calling `unmap` for every holder's range
+  // of each allocation first.
   void Teardown(Pasid pasid, const UnmapFn& unmap);
   // Forgets every grant `device` holds; returns how many there were.
   uint64_t DropGrantsHeldBy(DeviceId device);
@@ -123,8 +141,8 @@ class LeaseTable {
     uint64_t pages = 0;        // their size
     uint64_t grants = 0;       // grants the device held, dropped
   };
-  // A permanently failed device: drops the grants it held, unmaps its owned
-  // allocations from surviving grantees through `unmap`, and releases them.
+  // A permanently failed device: drops the grants it held, unmaps the grants
+  // on its owned allocations through `unmap`, and releases them.
   Reclaimed Reclaim(DeviceId device, const UnmapFn& unmap);
 
   // Re-admits a lease `owner` held before this table lost its state, at
@@ -152,6 +170,8 @@ class LeaseTable {
   uint64_t foreign_frame_ranges() const { return foreign_frames_.size(); }
 
  private:
+  // ResourceExhausted if `bytes` more would put `pasid` over its quota.
+  Status Admit(Pasid pasid, uint64_t bytes);
   // Picks a virtual placement for `pages`, honoring a nonzero hint when it
   // does not overlap an existing allocation.
   Result<uint64_t> PlaceVirtual(Pasid pasid, uint64_t pages, VirtAddr hint);
@@ -160,8 +180,8 @@ class LeaseTable {
   // Claims frames outside this table's slice for a re-admitted lease; fails
   // on overlap with an already adopted range (the double-ownership guard).
   bool AdoptForeignFrames(uint64_t first_frame, uint64_t pages);
-  // Returns an allocation's frames to wherever they came from.
-  void FreeFrames(const Allocation& allocation);
+  // Returns the frames under an owner's range to wherever they came from.
+  void FreeFrames(const Range& owned);
   void Count(std::string_view counter, uint64_t delta = 1) {
     stats_->GetCounter(counter).Increment(delta);
   }

@@ -97,17 +97,12 @@ void MemoryController::OnMessage(const proto::Message& message) {
   }
 }
 
-std::vector<proto::MapEntry> MemoryController::EntriesFor(const Allocation& allocation,
-                                                          uint64_t from_vpage, uint64_t pages,
-                                                          Access access) {
-  std::vector<proto::MapEntry> entries;
-  entries.reserve(pages);
-  uint64_t page_delta = from_vpage - allocation.vaddr.page();
-  for (uint64_t i = 0; i < pages; ++i) {
-    entries.push_back(
-        proto::MapEntry{from_vpage + i, allocation.first_frame + page_delta + i, access});
+void MemoryController::AppendEntries(std::vector<proto::MapEntry>& entries, const Range& range,
+                                     bool unmap) {
+  Access access = unmap ? Access::kRead : range.access;
+  for (uint64_t i = 0; i < range.pages; ++i) {
+    entries.push_back(proto::MapEntry{range.vpage + i, range.first_frame + i, access});
   }
-  return entries;
 }
 
 template <typename Done>
@@ -123,6 +118,18 @@ void MemoryController::SendDirective(DeviceId target, Pasid pasid,
   dev::RpcOptions options;
   options.max_attempts = 3;
   rpc().Call<void>(kBusDevice, std::move(directive), options, std::forward<Done>(done));
+}
+
+template <typename Done>
+void MemoryController::SendRange(Pasid pasid, const Range& range, bool unmap, Done&& done) {
+  std::vector<proto::MapEntry> entries;
+  entries.reserve(range.pages);
+  AppendEntries(entries, range, unmap);
+  SendDirective(range.device, pasid, std::move(entries), unmap, std::forward<Done>(done));
+}
+
+void MemoryController::SendUnmap(Pasid pasid, const Range& range) {
+  SendRange(pasid, range, /*unmap=*/true, [](Result<void>) {});
 }
 
 void MemoryController::HandleAlloc(const proto::Message& message) {
@@ -149,7 +156,7 @@ void MemoryController::HandleAlloc(const proto::Message& message) {
     ReplyError(message, allocated.status());
     return;
   }
-  const Allocation& allocation = **allocated;
+  const Range& range = *allocated;
   if (tracer().enabled()) {
     TraceEvent("alloc", "pasid=" + std::to_string(request.pasid.value()) +
                             " pages=" + std::to_string(pages));
@@ -157,22 +164,18 @@ void MemoryController::HandleAlloc(const proto::Message& message) {
 
   // Direct the bus to program the requester's IOMMU; reply only once the
   // mapping is live (Fig. 2 step 6 precedes the response).
-  auto entries = EntriesFor(allocation, allocation.vaddr.page(), pages, request.access);
   proto::Message original = message;
-  VirtAddr vaddr = allocation.vaddr;
-  uint64_t bytes = pages * kPageSize;
-  uint64_t first_frame = allocation.first_frame;
-  SendDirective(message.src, request.pasid, std::move(entries), /*unmap=*/false,
-                [this, original, vaddr, bytes, first_frame,
-                 pasid = request.pasid](Result<void> mapped) {
-                  if (!mapped.ok()) {
-                    // Roll back the allocation the mapping never activated.
-                    leases_.Release(pasid, vaddr.page());
-                    ReplyError(original, mapped.status());
-                    return;
-                  }
-                  Reply(original, proto::MemAllocResponse{vaddr, bytes, first_frame});
-                });
+  SendRange(request.pasid, range, /*unmap=*/false,
+            [this, original, vaddr = range.vaddr(), bytes = pages * kPageSize,
+             first_frame = range.first_frame, pasid = request.pasid](Result<void> mapped) {
+              if (!mapped.ok()) {
+                // Roll back the allocation the mapping never activated.
+                leases_.Release(pasid, vaddr.page());
+                ReplyError(original, mapped.status());
+                return;
+              }
+              Reply(original, proto::MemAllocResponse{vaddr, bytes, first_frame});
+            });
 }
 
 void MemoryController::HandleAllocBatch(const proto::Message& message) {
@@ -190,34 +193,19 @@ void MemoryController::HandleAllocBatch(const proto::Message& message) {
     ReplyError(message, Unavailable("shard recovering: leases re-asserting"));
     return;
   }
-  uint64_t pages = PagesForBytes(request.bytes);
-  Status admitted = leases_.Admit(request.pasid, request.count * pages * kPageSize);
-  if (!admitted.ok()) {
-    ReplyError(message, admitted);
-    return;
-  }
-
   // Place and back every region first; the whole lease activates — or rolls
   // back — as one unit.
-  std::vector<uint64_t> vpages;
-  std::vector<uint64_t> frames;
+  uint64_t pages = PagesForBytes(request.bytes);
+  auto leased =
+      leases_.AllocateBatch(message.src, request.pasid, pages, request.count, request.access);
+  if (!leased.ok()) {
+    ReplyError(message, leased.status());
+    return;
+  }
   std::vector<proto::MapEntry> entries;
-  vpages.reserve(request.count);
-  frames.reserve(request.count);
-  for (uint32_t i = 0; i < request.count; ++i) {
-    auto allocated = leases_.Allocate(message.src, request.pasid, pages, request.access);
-    if (!allocated.ok()) {
-      for (uint64_t vpage : vpages) {
-        leases_.Release(request.pasid, vpage);
-      }
-      ReplyError(message, allocated.status());
-      return;
-    }
-    const Allocation& allocation = **allocated;
-    auto region_entries = EntriesFor(allocation, allocation.vaddr.page(), pages, request.access);
-    entries.insert(entries.end(), region_entries.begin(), region_entries.end());
-    vpages.push_back(allocation.vaddr.page());
-    frames.push_back(allocation.first_frame);
+  entries.reserve(request.count * pages);
+  for (const Range& range : *leased) {
+    AppendEntries(entries, range, /*unmap=*/false);
   }
   stats().GetCounter("batch_allocs").Increment();
   stats().GetCounter("batch_allocd_regions").Increment(request.count);
@@ -230,24 +218,22 @@ void MemoryController::HandleAllocBatch(const proto::Message& message) {
   // One combined MapDirective programs every region; reply only once the
   // whole lease is live.
   proto::Message original = message;
-  uint64_t region_bytes = pages * kPageSize;
   SendDirective(message.src, request.pasid, std::move(entries), /*unmap=*/false,
-                [this, original, region_bytes, vpages = std::move(vpages),
-                 frames = std::move(frames), pasid = request.pasid](Result<void> mapped) {
+                [this, original, region_bytes = pages * kPageSize, ranges = std::move(*leased),
+                 pasid = request.pasid](Result<void> mapped) {
                   if (!mapped.ok()) {
-                    for (uint64_t vpage : vpages) {
-                      leases_.Release(pasid, vpage);
-                    }
+                    leases_.Release(pasid, ranges);
                     ReplyError(original, mapped.status());
                     return;
                   }
                   proto::MemAllocBatchResponse response;
                   response.bytes = region_bytes;
-                  response.vaddrs.reserve(vpages.size());
-                  for (uint64_t vpage : vpages) {
-                    response.vaddrs.push_back(VirtAddr(vpage << kPageShift));
+                  response.vaddrs.reserve(ranges.size());
+                  response.first_frames.reserve(ranges.size());
+                  for (const Range& range : ranges) {
+                    response.vaddrs.push_back(range.vaddr());
+                    response.first_frames.push_back(range.first_frame);
                   }
-                  response.first_frames = frames;
                   Reply(original, std::move(response));
                 });
 }
@@ -268,14 +254,9 @@ void MemoryController::HandleFreeBatch(const proto::Message& message) {
       ReplyError(message, owned.status());
       return;
     }
-    const Allocation& allocation = **owned;
-    auto entries = EntriesFor(allocation, vaddr.page(), pages, Access::kRead);
-    auto& owner_entries = per_target[allocation.owner];
-    owner_entries.insert(owner_entries.end(), entries.begin(), entries.end());
-    for (const GrantRecord& grant : allocation.grants) {
-      auto& grantee_entries = per_target[grant.grantee];
-      grantee_entries.insert(grantee_entries.end(), entries.begin(), entries.end());
-    }
+    (*owned)->ForEachHolder([&](const Range& range) {
+      AppendEntries(per_target[range.device], range, /*unmap=*/true);
+    });
   }
 
   struct BatchFreeState {
@@ -312,11 +293,10 @@ void MemoryController::HandleFree(const proto::Message& message) {
     return;
   }
 
-  // Unmap from the owner and every grantee, then release the frames. Every
-  // directive completes in a later event, so the record stays put while this
-  // handler reads it.
+  // Unmap every holder's range, one directive each, then release the frames.
+  // Every directive completes in a later event, so the record stays put
+  // while this handler reads it.
   const Allocation& allocation = **owned;
-  uint64_t vpage = allocation.vaddr.page();
   struct FreeState {
     int outstanding = 0;
     proto::Message original;
@@ -324,25 +304,17 @@ void MemoryController::HandleFree(const proto::Message& message) {
   auto state = std::make_shared<FreeState>();
   state->original = message;
 
-  auto finish = [this, state, pasid = request.pasid, vpage] {
+  auto finish = [this, state, pasid = request.pasid, vpage = request.vaddr.page()] {
     if (--state->outstanding > 0) {
       return;
     }
     leases_.Release(pasid, vpage);
     Reply(state->original, proto::MemFreeResponse{});
   };
-
-  state->outstanding = static_cast<int>(1 + allocation.grants.size());
-  auto unmap = [&](DeviceId target) {
-    // Access is ignored on unmap; kRead keeps the entries valid.
-    SendDirective(target, request.pasid,
-                  EntriesFor(allocation, vpage, allocation.pages, Access::kRead),
-                  /*unmap=*/true, [finish](Result<void>) { finish(); });
-  };
-  unmap(allocation.owner);
-  for (const GrantRecord& grant : allocation.grants) {
-    unmap(grant.grantee);
-  }
+  allocation.ForEachHolder([&](const Range& range) {
+    ++state->outstanding;
+    SendRange(request.pasid, range, /*unmap=*/true, [finish](Result<void>) { finish(); });
+  });
 }
 
 void MemoryController::HandleGrant(const proto::Message& message) {
@@ -353,28 +325,25 @@ void MemoryController::HandleGrant(const proto::Message& message) {
     ReplyError(message, granted.status());
     return;
   }
-  uint64_t pages = PagesForBytes(request.bytes);
-  auto entries = EntriesFor(**granted, request.vaddr.page(), pages, request.access);
   if (tracer().enabled()) {
     TraceEvent("grant", "to=" + std::to_string(request.grantee.value()) +
-                            " pages=" + std::to_string(pages));
+                            " pages=" + std::to_string(granted->pages));
   }
 
   // The grant is recorded before the mapping exists, so a free racing the
   // directive still unmaps the grantee.
   proto::Message original = message;
-  SendDirective(request.grantee, request.pasid, std::move(entries), /*unmap=*/false,
-                [this, original](Result<void> mapped) {
-                  if (!mapped.ok()) {
-                    // No mapping, no grant: drop the record (if the region
-                    // still exists) so the table matches the IOMMUs.
-                    const auto& grant = original.As<proto::GrantRequest>();
-                    leases_.DropGrant(grant.pasid, grant.vaddr, grant.bytes, grant.grantee);
-                    ReplyError(original, mapped.status());
-                    return;
-                  }
-                  Reply(original, proto::GrantResponse{});
-                });
+  SendRange(request.pasid, *granted, /*unmap=*/false, [this, original](Result<void> mapped) {
+    if (!mapped.ok()) {
+      // No mapping, no grant: drop the record (if the region still exists)
+      // so the table matches the IOMMUs.
+      const auto& grant = original.As<proto::GrantRequest>();
+      leases_.DropGrant(grant.pasid, grant.vaddr, grant.bytes, grant.grantee);
+      ReplyError(original, mapped.status());
+      return;
+    }
+    Reply(original, proto::GrantResponse{});
+  });
 }
 
 void MemoryController::HandleRevoke(const proto::Message& message) {
@@ -385,33 +354,22 @@ void MemoryController::HandleRevoke(const proto::Message& message) {
     ReplyError(message, revoked.status());
     return;
   }
-  uint64_t pages = PagesForBytes(request.bytes);
-  auto entries = EntriesFor(**revoked, request.vaddr.page(), pages, Access::kRead);
   proto::Message original = message;
-  SendDirective(request.grantee, request.pasid, std::move(entries), /*unmap=*/true,
-                [this, original](Result<void> unmapped) {
-                  if (!unmapped.ok()) {
-                    ReplyError(original, unmapped.status());
-                    return;
-                  }
-                  Reply(original, proto::RevokeResponse{});
-                });
-}
-
-void MemoryController::SendUnmap(DeviceId target, Pasid pasid, const Allocation& allocation) {
-  SendDirective(target, pasid,
-                EntriesFor(allocation, allocation.vaddr.page(), allocation.pages, Access::kRead),
-                /*unmap=*/true, [](Result<void>) {});
+  SendRange(request.pasid, *revoked, /*unmap=*/true, [this, original](Result<void> unmapped) {
+    if (!unmapped.ok()) {
+      ReplyError(original, unmapped.status());
+      return;
+    }
+    Reply(original, proto::RevokeResponse{});
+  });
 }
 
 void MemoryController::OnTeardown(Pasid pasid) {
   if (leases_.TableOf(pasid) == nullptr) {
     return;
   }
-  // Direct unmaps for every allocation and grant, then release the frames.
-  leases_.Teardown(pasid, [this](DeviceId target, Pasid app, const Allocation& allocation) {
-    SendUnmap(target, app, allocation);
-  });
+  // Direct unmaps for every holder's range, then release the frames.
+  leases_.Teardown(pasid, [this](Pasid app, const Range& range) { SendUnmap(app, range); });
 }
 
 void MemoryController::HandleLeaseReassert(const proto::Message& message) {
@@ -448,9 +406,7 @@ void MemoryController::OnPeerPermanentlyFailed(DeviceId device) {
   // device's own IOMMU was already scrubbed by the bus; surviving grantees
   // are unmapped here.
   auto reclaimed = leases_.Reclaim(
-      device, [this](DeviceId target, Pasid pasid, const Allocation& allocation) {
-        SendUnmap(target, pasid, allocation);
-      });
+      device, [this](Pasid pasid, const Range& range) { SendUnmap(pasid, range); });
   if (reclaimed.grants > 0 || reclaimed.allocations > 0) {
     TraceEvent("permanent-reclaim", "device=" + std::to_string(device.value()) +
                                         " allocations=" + std::to_string(reclaimed.allocations) +

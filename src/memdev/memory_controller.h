@@ -94,18 +94,22 @@ class MemoryController : public dev::Device {
 
   // Emits a MapDirective to the bus and completes `done` (any callable
   // taking Result<void>) when the mapping is confirmed, or with the typed
-  // error. Directives are idempotent (mapping the same entries twice is a
-  // no-op), so they opt into bounded retries.
+  // error. Directives opt into bounded retries, which are safe only for a
+  // lost request: the bus keeps no replay window, so a map directive that
+  // did run and is sent again fails with AlreadyExists on its first page.
   template <typename Done>
   void SendDirective(DeviceId target, Pasid pasid, std::vector<proto::MapEntry> entries,
                      bool unmap, Done&& done);
-  // Directs the bus to unmap all of `allocation` from `target`, without
-  // waiting for the outcome.
-  void SendUnmap(DeviceId target, Pasid pasid, const Allocation& allocation);
+  // Directs the bus to map, or unmap, `range` in its device.
+  template <typename Done>
+  void SendRange(Pasid pasid, const Range& range, bool unmap, Done&& done);
+  // Directs the bus to unmap `range`, without waiting for the outcome.
+  void SendUnmap(Pasid pasid, const Range& range);
 
-  // Builds identity-ish map entries for an allocation subrange.
-  static std::vector<proto::MapEntry> EntriesFor(const Allocation& allocation, uint64_t from_vpage,
-                                                 uint64_t pages, Access access);
+  // Appends the map entries of `range`. Access is ignored on unmap; kRead
+  // keeps the entries valid.
+  static void AppendEntries(std::vector<proto::MapEntry>& entries, const Range& range,
+                            bool unmap);
 
   MemoryControllerConfig config_;
   LeaseTable leases_;

@@ -256,6 +256,12 @@ class BusDesign {
     }
     return out.value_or(TimedOut("revoke never completed"));
   }
+  // The bus broadcasts the application's teardown; the controller unmaps
+  // every holder and drops the table.
+  void Teardown(Pasid pasid) {
+    machine_.TeardownApplication(pasid);
+    machine_.RunUntilIdle();
+  }
   // The crash plan kills the doomed device at 2ms; let its supervised
   // episode run out.
   void Quarantine(int i) {
@@ -306,6 +312,10 @@ class KernelDesign {
     while (!out && simulator_.Step()) {
     }
     return out.value_or(TimedOut("revoke never completed"));
+  }
+  void Teardown(Pasid pasid) {
+    kernel_.Teardown(pasid, [](Result<void> result) { EXPECT_TRUE(result.ok()); });
+    simulator_.Run();
   }
   // Dead silicon: the reset pulses go unanswered until the kernel gives up.
   void Quarantine(int i) {
@@ -406,6 +416,104 @@ TYPED_TEST(LeaseParityTest, OverlappingGrantIsRefusedBeforeMapping) {
   EXPECT_EQ(design.iommu(1).mapped_pages(Pasid(7)), 0u);
   EXPECT_EQ(design.GrantsHeldBy(design.id(1)), 0u);
   EXPECT_EQ(design.AllocatedBytes(Pasid(7)), 0u);
+}
+
+// A grant of part of an allocation must be unmapped on exactly its own pages
+// when the allocation goes: the bus stops a directive at the first page its
+// target does not map, so an unmap from the allocation's first page would
+// leave the grantee mapping freed frames. Device `owner` allocates 4 pages
+// and grants the upper 2 to `grantee`; each case then releases the
+// allocation a different way.
+template <typename Design>
+Result<VirtAddr> AllocAndGrantUpperHalf(Design& design, int owner, int grantee) {
+  auto vaddr = design.client(owner).AllocSync(Pasid(7), 4 * kPageSize);
+  if (!vaddr.ok()) {
+    return vaddr.status();
+  }
+  Result<void> granted = design.client(owner).GrantSync(
+      Pasid(7), VirtAddr(vaddr->raw + 2 * kPageSize), 2 * kPageSize, design.id(grantee),
+      Access::kRead);
+  if (!granted.ok()) {
+    return granted.status();
+  }
+  EXPECT_EQ(design.iommu(grantee).mapped_pages(Pasid(7)), 2u);
+  return vaddr;
+}
+
+TYPED_TEST(LeaseParityTest, FreeUnmapsAPartialGrant) {
+  TypeParam design;
+  auto vaddr = AllocAndGrantUpperHalf(design, 0, 1);
+  ASSERT_TRUE(vaddr.ok()) << vaddr.status().ToString();
+  EXPECT_TRUE(design.client(0).FreeSync(Pasid(7), *vaddr, 4 * kPageSize).ok());
+  EXPECT_EQ(design.iommu(1).mapped_pages(Pasid(7)), 0u);
+  EXPECT_EQ(design.iommu(0).mapped_pages(Pasid(7)), 0u);
+  EXPECT_EQ(design.AllocatedBytes(Pasid(7)), 0u);
+}
+
+TYPED_TEST(LeaseParityTest, BatchFreeUnmapsAPartialGrant) {
+  TypeParam design;
+  auto vaddr = AllocAndGrantUpperHalf(design, 0, 1);
+  ASSERT_TRUE(vaddr.ok()) << vaddr.status().ToString();
+  EXPECT_TRUE(design.client(0).FreeBatchSync(Pasid(7), {*vaddr}, 4 * kPageSize).ok());
+  EXPECT_EQ(design.iommu(1).mapped_pages(Pasid(7)), 0u);
+  EXPECT_EQ(design.iommu(0).mapped_pages(Pasid(7)), 0u);
+  EXPECT_EQ(design.AllocatedBytes(Pasid(7)), 0u);
+}
+
+TYPED_TEST(LeaseParityTest, TeardownUnmapsAPartialGrant) {
+  TypeParam design;
+  auto vaddr = AllocAndGrantUpperHalf(design, 0, 1);
+  ASSERT_TRUE(vaddr.ok()) << vaddr.status().ToString();
+  design.Teardown(Pasid(7));
+  EXPECT_EQ(design.iommu(1).mapped_pages(Pasid(7)), 0u);
+  EXPECT_EQ(design.iommu(0).mapped_pages(Pasid(7)), 0u);
+  EXPECT_EQ(design.AllocatedBytes(Pasid(7)), 0u);
+}
+
+TYPED_TEST(LeaseParityTest, QuarantinedOwnerUnmapsAPartialGrant) {
+  TypeParam design(/*doomed=*/1);
+  auto vaddr = AllocAndGrantUpperHalf(design, 1, 0);
+  ASSERT_TRUE(vaddr.ok()) << vaddr.status().ToString();
+  design.Quarantine(1);
+  EXPECT_EQ(design.iommu(0).mapped_pages(Pasid(7)), 0u);
+  EXPECT_EQ(design.GrantsHeldBy(design.id(0)), 0u);
+  EXPECT_EQ(design.AllocatedBytes(Pasid(7)), 0u);
+}
+
+// A revoke names one grant by its exact range. Revoking the upper of two
+// grants one grantee holds must drop that record, not the first one: then
+// the table and the IOMMU agree, and the upper half can be granted again.
+TYPED_TEST(LeaseParityTest, RevokeDropsTheNamedGrant) {
+  TypeParam design;
+  auto vaddr = design.client(0).AllocSync(Pasid(7), 4 * kPageSize);
+  ASSERT_TRUE(vaddr.ok()) << vaddr.status().ToString();
+  VirtAddr upper(vaddr->raw + 2 * kPageSize);
+  for (VirtAddr half : {*vaddr, upper}) {
+    ASSERT_TRUE(design.client(0)
+                    .GrantSync(Pasid(7), half, 2 * kPageSize, design.id(1), Access::kRead)
+                    .ok());
+  }
+  ASSERT_EQ(design.iommu(1).mapped_pages(Pasid(7)), 4u);
+
+  Result<void> revoked = design.Revoke(0, Pasid(7), upper, 2 * kPageSize, 1);
+  EXPECT_TRUE(revoked.ok()) << revoked.status().ToString();
+  EXPECT_EQ(design.iommu(1).mapped_pages(Pasid(7)), 2u);
+  EXPECT_TRUE(design.iommu(1).Translate(Pasid(7), *vaddr, Access::kRead).ok());
+  EXPECT_FALSE(design.iommu(1).Translate(Pasid(7), upper, Access::kRead).ok());
+  EXPECT_EQ(design.GrantsHeldBy(design.id(1)), 1u);
+
+  auto regranted =
+      design.client(0).GrantSync(Pasid(7), upper, 2 * kPageSize, design.id(1), Access::kRead);
+  EXPECT_TRUE(regranted.ok()) << regranted.status().ToString();
+  EXPECT_EQ(design.iommu(1).mapped_pages(Pasid(7)), 4u);
+  EXPECT_EQ(design.GrantsHeldBy(design.id(1)), 2u);
+  // A range that is not exactly one grant names none.
+  Result<void> inexact = design.Revoke(0, Pasid(7), *vaddr, kPageSize, 1);
+  EXPECT_EQ(inexact.status().code(), StatusCode::kNotFound) << inexact.status().ToString();
+  EXPECT_EQ(design.iommu(1).mapped_pages(Pasid(7)), 4u);
+  EXPECT_TRUE(design.client(0).FreeSync(Pasid(7), *vaddr, 4 * kPageSize).ok());
+  EXPECT_EQ(design.iommu(1).mapped_pages(Pasid(7)), 0u);
+  EXPECT_EQ(design.GrantsHeldBy(design.id(1)), 0u);
 }
 
 TEST_F(KernelTest, BatchedSyscallsLeaseAndSettle) {

@@ -6,6 +6,7 @@
 
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "src/memdev/memory_controller.h"
 #include "tests/test_util.h"
@@ -302,6 +303,124 @@ TEST_F(MemoryControllerTest, AllocationsAccumulateStats) {
   EXPECT_EQ(controller_.stats().GetCounter("allocations").value(), 2u);
   EXPECT_EQ(controller_.allocation_count(), 2u);
   EXPECT_EQ(controller_.AllocatedBytes(Pasid(7)), 2 * kPageSize);
+}
+
+// --- LeaseTable: the ranges each operation hands its caller ------------------
+
+class LeaseTableTest : public ::testing::Test {
+ protected:
+  static constexpr DeviceId kOwner{1};
+  static constexpr DeviceId kGrantee{2};
+  static constexpr DeviceId kOther{3};
+
+  mem::PhysicalMemory memory_{1 << 20};  // 256 frames
+  sim::StatsRegistry stats_;
+  LeaseTable table_{&memory_, &stats_};
+};
+
+TEST_F(LeaseTableTest, AllocateBatchOutOfMemoryPartwayTakesNothing) {
+  // 16 frames held; of the 240 left, three 64-frame regions fit, a fourth
+  // does not.
+  ASSERT_TRUE(table_.Allocate(kOwner, Pasid(7), 16, Access::kReadWrite).ok());
+  const uint64_t free_frames = table_.allocator().free_frames();
+  const uint64_t bytes = table_.AllocatedBytes(Pasid(7));
+
+  auto batch = table_.AllocateBatch(kOwner, Pasid(7), 64, 4, Access::kReadWrite);
+  EXPECT_EQ(batch.status().code(), StatusCode::kResourceExhausted) << batch.status().ToString();
+  EXPECT_EQ(table_.allocator().free_frames(), free_frames);
+  EXPECT_EQ(table_.AllocatedBytes(Pasid(7)), bytes);
+  EXPECT_EQ(table_.allocation_count(), 1u);
+  EXPECT_EQ(stats_.GetCounter("oom_rejections").value(), 1u);
+
+  // The frames really came back: three regions still fit.
+  auto fits = table_.AllocateBatch(kOwner, Pasid(7), 64, 3, Access::kReadWrite);
+  ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+  ASSERT_EQ(fits->size(), 3u);
+  for (const Range& range : *fits) {
+    EXPECT_EQ(range.device, kOwner);
+    EXPECT_EQ(range.pages, 64u);
+  }
+  EXPECT_EQ(table_.allocation_count(), 4u);
+}
+
+TEST_F(LeaseTableTest, RevokeAndDropGrantRemoveOnlyTheExactGrant) {
+  auto owned = table_.Allocate(kOwner, Pasid(7), 4, Access::kReadWrite);
+  ASSERT_TRUE(owned.ok());
+  const VirtAddr lower = owned->vaddr();
+  const VirtAddr upper(lower.raw + 2 * kPageSize);
+  ASSERT_TRUE(table_.Grant(kOwner, Pasid(7), lower, 2 * kPageSize, kGrantee, Access::kRead).ok());
+  auto granted =
+      table_.Grant(kOwner, Pasid(7), upper, 2 * kPageSize, kGrantee, Access::kReadWrite);
+  ASSERT_TRUE(granted.ok());
+  EXPECT_EQ(granted->vpage, upper.page());
+  EXPECT_EQ(granted->first_frame, owned->first_frame + 2);
+  ASSERT_TRUE(table_.Grant(kOwner, Pasid(7), lower, 4 * kPageSize, kOther, Access::kRead).ok());
+
+  // Ranges that are not exactly one of the grantee's grants remove nothing.
+  EXPECT_EQ(table_.Revoke(kOwner, Pasid(7), lower, kPageSize, kGrantee).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(table_.Revoke(kOwner, Pasid(7), lower, 4 * kPageSize, kGrantee).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_FALSE(table_.DropGrant(Pasid(7), upper, kPageSize, kGrantee).has_value());
+  EXPECT_EQ(table_.GrantsHeldBy(kGrantee), 2u);
+
+  auto revoked = table_.Revoke(kOwner, Pasid(7), upper, 2 * kPageSize, kGrantee);
+  ASSERT_TRUE(revoked.ok()) << revoked.status().ToString();
+  EXPECT_EQ(revoked->device, kGrantee);
+  EXPECT_EQ(revoked->vpage, upper.page());
+  EXPECT_EQ(revoked->first_frame, owned->first_frame + 2);
+  EXPECT_EQ(revoked->pages, 2u);
+  EXPECT_EQ(revoked->access, Access::kReadWrite);
+  const Allocation& allocation = table_.TableOf(Pasid(7))->at(lower.page());
+  ASSERT_EQ(allocation.grants.size(), 2u);
+  EXPECT_EQ(allocation.grants[0].device, kGrantee);
+  EXPECT_EQ(allocation.grants[0].vpage, lower.page());
+  EXPECT_EQ(allocation.grants[1].device, kOther);
+
+  auto dropped = table_.DropGrant(Pasid(7), lower, 4 * kPageSize, kOther);
+  ASSERT_TRUE(dropped.has_value());
+  EXPECT_EQ(dropped->device, kOther);
+  EXPECT_EQ(dropped->pages, 4u);
+  EXPECT_EQ(table_.GrantsHeldBy(kOther), 0u);
+  EXPECT_EQ(table_.GrantsHeldBy(kGrantee), 1u);
+}
+
+TEST_F(LeaseTableTest, TeardownAndReclaimUnmapEachHoldersOwnRange) {
+  // The owner allocates 4 pages and grants the upper 2.
+  auto lease = [&]() -> Result<Range> {
+    auto owned = table_.Allocate(kOwner, Pasid(7), 4, Access::kReadWrite);
+    if (!owned.ok()) {
+      return owned;
+    }
+    return table_.Grant(kOwner, Pasid(7), VirtAddr(owned->vaddr().raw + 2 * kPageSize),
+                        2 * kPageSize, kGrantee, Access::kRead);
+  };
+  auto upper = lease();
+  ASSERT_TRUE(upper.ok()) << upper.status().ToString();
+
+  std::vector<Range> unmapped;
+  auto record = [&](Pasid, const Range& range) { unmapped.push_back(range); };
+  // The dead owner's own IOMMU is scrubbed elsewhere: only the grantee's
+  // range is unmapped.
+  LeaseTable::Reclaimed reclaimed = table_.Reclaim(kOwner, record);
+  EXPECT_EQ(reclaimed.allocations, 1u);
+  ASSERT_EQ(unmapped.size(), 1u);
+  EXPECT_EQ(unmapped[0].device, kGrantee);
+  EXPECT_EQ(unmapped[0].vpage, upper->vpage);
+  EXPECT_EQ(unmapped[0].pages, 2u);
+
+  unmapped.clear();
+  upper = lease();
+  ASSERT_TRUE(upper.ok()) << upper.status().ToString();
+  table_.Teardown(Pasid(7), record);
+  ASSERT_EQ(unmapped.size(), 2u);
+  EXPECT_EQ(unmapped[0].device, kOwner);
+  EXPECT_EQ(unmapped[0].vpage, upper->vpage - 2);
+  EXPECT_EQ(unmapped[0].pages, 4u);
+  EXPECT_EQ(unmapped[1].device, kGrantee);
+  EXPECT_EQ(unmapped[1].vpage, upper->vpage);
+  EXPECT_EQ(unmapped[1].pages, 2u);
+  EXPECT_EQ(table_.allocator().free_frames(), table_.allocator().total_frames());
 }
 
 }  // namespace
