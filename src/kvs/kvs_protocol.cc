@@ -68,11 +68,13 @@ Result<KvsRequest> KvsRequest::Decode(std::span<const uint8_t> wire) {
   request.sequence = GetU64(wire, 1);
   uint16_t key_len = GetU16(wire, 9);
   uint32_t value_len = GetU32(wire, 11);
-  if (wire.size() < 15u + key_len + value_len) {
+  // In 64 bits: a 32-bit sum wraps for a value length near 2^32.
+  uint64_t end = 15 + uint64_t{key_len} + value_len;
+  if (wire.size() < end) {
     return InvalidArgument("truncated KVS request body");
   }
   request.key.assign(reinterpret_cast<const char*>(wire.data() + 15), key_len);
-  request.value.assign(wire.begin() + 15 + key_len, wire.begin() + 15 + key_len + value_len);
+  request.value.assign(wire.begin() + 15 + key_len, wire.begin() + static_cast<ptrdiff_t>(end));
   return request;
 }
 
@@ -94,10 +96,11 @@ Result<KvsResponse> KvsResponse::Decode(std::span<const uint8_t> wire) {
   response.status = static_cast<StatusCode>(wire[0]);
   response.sequence = GetU64(wire, 1);
   uint32_t value_len = GetU32(wire, 9);
-  if (wire.size() < 13u + value_len) {
+  uint64_t end = 13 + uint64_t{value_len};
+  if (wire.size() < end) {
     return InvalidArgument("truncated KVS response body");
   }
-  response.value.assign(wire.begin() + 13, wire.begin() + 13 + value_len);
+  response.value.assign(wire.begin() + 13, wire.begin() + static_cast<ptrdiff_t>(end));
   return response;
 }
 
@@ -125,6 +128,9 @@ Result<std::pair<LogRecord, uint64_t>> LogRecord::Decode(std::span<const uint8_t
   uint64_t total = kHeaderBytes + key_len + value_len;
   if (wire.size() < total) {
     return InvalidArgument("truncated log record body");
+  }
+  if (wire[8] > 1) {
+    return DataLoss("bad log record tombstone flag");
   }
   LogRecord record;
   record.tombstone = wire[8] != 0;

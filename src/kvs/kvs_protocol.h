@@ -54,6 +54,7 @@ struct LogRecord {
   uint64_t EncodedBytes() const { return kHeaderBytes + key.size() + value.size(); }
   std::vector<uint8_t> Encode() const;
   // Decodes one record at the front of `wire`; reports bytes consumed.
+  // DataLoss on a bad magic or a tombstone flag other than 0 or 1.
   static Result<std::pair<LogRecord, uint64_t>> Decode(std::span<const uint8_t> wire);
 };
 

@@ -53,6 +53,35 @@ TEST(KvsProtocolTest, MalformedRequestsRejected) {
   EXPECT_FALSE(KvsRequest::Decode(wire).ok());
 }
 
+// A length field near 2^32 must not wrap the decoders' bounds checks. Summed
+// in 32 bits, 15 + 0 + 0xFFFFFFF1 is 0, so a 15-byte request claiming a
+// 0xFFFFFFF1-byte value would pass the check and copy about 4 GiB from
+// inside the datagram.
+TEST(KvsProtocolTest, RequestValueLengthNear4GiBIsRejected) {
+  KvsRequest request;
+  request.op = KvsOp::kPut;
+  request.sequence = 3;
+  std::vector<uint8_t> wire = request.Encode();
+  ASSERT_EQ(wire.size(), 15u);
+  // value_len is the little-endian u32 at byte 11.
+  wire[11] = 0xF1;
+  wire[12] = wire[13] = wire[14] = 0xFF;
+  auto decoded = KvsRequest::Decode(wire);
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(KvsProtocolTest, ResponseValueLengthNear4GiBIsRejected) {
+  KvsResponse response;
+  response.sequence = 3;
+  std::vector<uint8_t> wire = response.Encode();
+  ASSERT_EQ(wire.size(), 13u);
+  // value_len is the u32 at byte 9; 13 + 0xFFFFFFF3 is 0 in 32 bits.
+  wire[9] = 0xF3;
+  wire[10] = wire[11] = wire[12] = 0xFF;
+  auto decoded = KvsResponse::Decode(wire);
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(KvsProtocolTest, LogRecordRoundTripAndChaining) {
   LogRecord a{"alpha", {1, 2, 3}, false};
   LogRecord b{"beta", {}, true};
