@@ -1,8 +1,10 @@
 // EventFn: the simulator's move-only callback type — see MoveFn for the
-// machinery and the rationale. The inline buffer is sized so a DMA completion
-// (this + span + two vectors + a nested 168-byte MoveFn completion, ~240
-// bytes) stays inline; event nodes are pooled, so the wider buffer costs
-// arena bytes, not per-event allocations.
+// machinery and the rationale. The inline buffer is sized so a DMA write
+// completion stays inline: this, its span, the transfer's physical runs (40
+// bytes, the first run inline), its byte vector and the nested 176-byte
+// DmaCallback fill exactly 256 bytes, which Fabric::StartWrite checks with a
+// static_assert. Event nodes are pooled, so the wide buffer costs arena bytes,
+// not per-event allocations.
 #ifndef SRC_SIM_EVENT_FN_H_
 #define SRC_SIM_EVENT_FN_H_
 
