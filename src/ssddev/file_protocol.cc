@@ -33,6 +33,9 @@ uint64_t GetU64At(std::span<const uint8_t> in, size_t at) {
   return v;
 }
 
+// Bytes 1-3 of both headers are reserved and always encoded as zero.
+bool ReservedBytesZero(std::span<const uint8_t> in) { return (in[1] | in[2] | in[3]) == 0; }
+
 }  // namespace
 
 void FileRequestHeader::EncodeTo(std::span<uint8_t> out) const {
@@ -49,6 +52,9 @@ Result<FileRequestHeader> FileRequestHeader::DecodeFrom(std::span<const uint8_t>
   }
   if (in[0] < static_cast<uint8_t>(FileOp::kRead) || in[0] > static_cast<uint8_t>(FileOp::kStat)) {
     return InvalidArgument("unknown file op");
+  }
+  if (!ReservedBytesZero(in)) {
+    return InvalidArgument("reserved file request header bytes set");
   }
   FileRequestHeader header;
   header.op = static_cast<FileOp>(in[0]);
@@ -69,10 +75,18 @@ Result<FileResponseHeader> FileResponseHeader::DecodeFrom(std::span<const uint8_
   if (in.size() < kWireBytes) {
     return InvalidArgument("truncated file response header");
   }
+  if (!ReservedBytesZero(in)) {
+    return InvalidArgument("reserved file response header bytes set");
+  }
   FileResponseHeader header;
   header.status = static_cast<StatusCode>(in[0]);
   header.length = GetU32At(in, 4);
   header.file_size = GetU64At(in, 8);
+  // The client DMA-reads `length` bytes after the header, so a longer claim
+  // would read past the response slot.
+  if (header.length > kMaxReadBytes) {
+    return DataLoss("file response longer than its slot");
+  }
   return header;
 }
 

@@ -33,6 +33,8 @@ struct FileRequestHeader {
 
   static constexpr uint64_t kWireBytes = 16;
   void EncodeTo(std::span<uint8_t> out) const;
+  // The service decodes bytes the client device wrote: rejects a short
+  // buffer, an unknown op and nonzero reserved bytes (kInvalidArgument).
   static Result<FileRequestHeader> DecodeFrom(std::span<const uint8_t> in);
 };
 
@@ -44,6 +46,9 @@ struct FileResponseHeader {
 
   static constexpr uint64_t kWireBytes = 16;
   void EncodeTo(std::span<uint8_t> out) const;
+  // The client decodes bytes the service device wrote: rejects a short
+  // buffer and nonzero reserved bytes (kInvalidArgument), and a length above
+  // kMaxReadBytes, which would overrun the response slot (kDataLoss).
   static Result<FileResponseHeader> DecodeFrom(std::span<const uint8_t> in);
 };
 

@@ -859,6 +859,40 @@ TEST_F(FileSessionTest, WriteThenReadThroughService) {
   EXPECT_EQ(*read, Bytes({6, 7}));
 }
 
+// The service device writes each response header, so the client must not
+// trust its length: one claiming more than a response slot holds fails the
+// read with kDataLoss instead of DMA-reading past the slot.
+TEST_F(FileSessionTest, ResponseLongerThanItsSlotFailsTheRead) {
+  ASSERT_TRUE(OpenSync("kv.log").ok());
+  std::optional<Status> wrote;
+  client_.WriteAt(0, Bytes({5, 6, 7, 8}), [&](Status s) { wrote = s; });
+  harness_.simulator.Run();
+  ASSERT_TRUE(wrote.has_value() && wrote->ok());
+
+  // Before the client drains the completion, overwrite the length of every
+  // response slot's header, as a faulty provider would.
+  const uint16_t depth = FileServiceConfig{}.queue_depth;  // the fixture keeps the default
+  SessionLayout layout(client_.session_base(), depth);
+  nic_.doorbell_handler = [&](DeviceId from, uint64_t value) {
+    uint8_t length[4] = {};
+    uint32_t oversized = static_cast<uint32_t>(kMaxReadBytes + 1);
+    for (size_t i = 0; i < 4; ++i) {
+      length[i] = static_cast<uint8_t>(oversized >> (8 * i));
+    }
+    for (uint16_t slot = 0; slot < depth / 2; ++slot) {
+      ASSERT_TRUE(nic_.fabric()
+                      ->MemWrite(nic_.id(), Pasid(7), layout.ResponseSlot(slot) + 4, length)
+                      .status.ok());
+    }
+    client_.HandleDoorbell(from, value);
+  };
+  std::optional<Result<std::vector<uint8_t>>> read;
+  client_.ReadAt(0, 4, [&](Result<std::vector<uint8_t>> r) { read = std::move(r); });
+  harness_.simulator.Run();
+  ASSERT_TRUE(read.has_value());
+  EXPECT_EQ(read->status().code(), StatusCode::kDataLoss);
+}
+
 TEST_F(FileSessionTest, AppendAndStat) {
   ASSERT_TRUE(OpenSync("kv.log").ok());
   std::optional<uint64_t> at;
