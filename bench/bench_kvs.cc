@@ -5,7 +5,8 @@
 // kernel before the NIC's engine may process it (the traditional
 // kernel-owned network stack); the data path below is identical, which is
 // exactly the paper's point — once the data plane is device-to-device, the
-// CPU only adds a toll booth.
+// CPU only adds a toll booth. Also runs E9 (KVS under FTL garbage collection)
+// and the E-batch burst (data-plane batching, batched vs unbatched).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -282,6 +283,114 @@ BENCHMARK(Kvs_CpuMediated)
     ->Args({256, 100})
     ->Args({256, 50});
 
+// --- E-batch: one KVS burst, batched vs unbatched ---------------------------
+//
+// 2000 ops issued at once through the NIC's virtqueue to the SSD, then
+// drained. Read-heavy, the canonical KVS serving pattern: GETs fan out across
+// NAND dies and the device read cache, so completions arrive densely and the
+// batching windows have something to merge. PUTs are paced by the active log
+// block's NAND program time regardless of batching, so 1 op in 8 is a PUT:
+// enough to keep the log warm, not enough to let programs set the pace.
+// Batched turns on the data-plane fast paths: scatter-gather DMA, doorbell
+// coalescing, and virtqueue submit and completion batching. Every number is a
+// count or simulated time, so each run reproduces exactly.
+
+constexpr uint64_t kBurstKeys = 200;
+constexpr uint64_t kBurstOps = 2000;
+constexpr uint32_t kBurstValueBytes = 256;
+// Coalescing merges only what arrives within one window, so the window must
+// exceed the device's completion inter-arrival time (~60us here: GETs at
+// NAND-read speed across 4 dies) to batch the steady state. 250us is
+// NVMe-style interrupt moderation: ~4 completions per trailing doorbell at
+// this op rate, with throughput set by flash, not the window.
+constexpr sim::Duration kBatchWindow = sim::Duration::Micros(250);
+
+struct BurstResult {
+  double sim_seconds = 0;
+  uint64_t events = 0;
+  uint64_t doorbells = 0;
+  uint64_t dma_transfers = 0;  // DMA writes + reads; a scatter-gather write is one
+  uint64_t sg_segments = 0;
+  uint64_t client_flushes = 0;
+  uint64_t service_flushes = 0;
+  static double PerOp(uint64_t count) {
+    return static_cast<double>(count) / static_cast<double>(kBurstOps);
+  }
+  double ops_per_sec() const { return static_cast<double>(kBurstOps) / sim_seconds; }
+};
+
+BurstResult RunBurst(bool batched) {
+  core::MachineConfig machine_config;
+  kvs::KvsAppConfig app_config;
+  ssddev::SmartSsdConfig ssd_config;
+  ssd_config.host_auth_service = false;
+  if (batched) {
+    machine_config.fabric.doorbell_coalesce_window = kBatchWindow;
+    app_config.engine.file_client.submit_batch_window = kBatchWindow;
+    ssd_config.file_service.completion_batch_window = kBatchWindow;
+  }
+  KvsRig rig = KvsRig::Build(machine_config, app_config, ssd_config);
+  rig.Preload(kBurstKeys, kBurstValueBytes);
+
+  sim::StatsSnapshot fabric_before = rig.machine->fabric().stats().Snapshot();
+  uint64_t events_before = rig.machine->simulator().events_executed();
+  sim::SimTime start = rig.machine->simulator().Now();
+  // Issue everything up front (the engine queues ops beyond the session's
+  // slot budget), then drain.
+  uint64_t completed = 0;
+  for (uint64_t i = 0; i < kBurstOps; ++i) {
+    const std::string key = kvs::WorkloadGenerator::KeyFor(i % kBurstKeys);
+    if (i % 8 != 0) {
+      rig.app->engine().Get(key, [&completed](Result<std::vector<uint8_t>> r) {
+        LASTCPU_CHECK(r.ok(), "burst get failed");
+        ++completed;
+      });
+    } else {
+      rig.app->engine().Put(key, std::vector<uint8_t>(kBurstValueBytes, static_cast<uint8_t>(i)),
+                            [&completed](Status s) {
+                              LASTCPU_CHECK(s.ok(), "burst put failed");
+                              ++completed;
+                            });
+    }
+  }
+  rig.machine->RunUntilIdle();
+  LASTCPU_CHECK(completed == kBurstOps, "burst never finished");
+
+  sim::StatsSnapshot fabric = rig.machine->fabric().stats().Snapshot().DeltaSince(fabric_before);
+  BurstResult out;
+  out.sim_seconds = (rig.machine->simulator().Now() - start).seconds();
+  out.events = rig.machine->simulator().events_executed() - events_before;
+  out.doorbells = fabric.counters["doorbells"];
+  out.dma_transfers = fabric.counters["dma_writes"] + fabric.counters["dma_reads"];
+  out.sg_segments = fabric.counters["dma_sg_segments"];
+  out.client_flushes = rig.nic->stats().GetCounter("file_client_batch_flushes").value();
+  out.service_flushes = rig.ssd->stats().GetCounter("file_service_batch_flushes").value();
+  return out;
+}
+
+void Kvs_Burst(benchmark::State& state) {
+  bool batched = state.range(0) == 1;
+  for (auto _ : state) {
+    BurstResult r = RunBurst(batched);
+    state.SetIterationTime(r.sim_seconds);
+    state.counters["ops_per_sec"] = r.ops_per_sec();
+    state.counters["events_per_op"] = BurstResult::PerOp(r.events);
+    state.counters["doorbells_per_op"] = BurstResult::PerOp(r.doorbells);
+    state.counters["dma_transfers_per_op"] = BurstResult::PerOp(r.dma_transfers);
+    state.counters["sg_segments"] = static_cast<double>(r.sg_segments);
+    state.counters["client_flushes"] = static_cast<double>(r.client_flushes);
+    state.counters["service_flushes"] = static_cast<double>(r.service_flushes);
+  }
+  state.counters["batched"] = batched ? 1 : 0;
+}
+
+BENCHMARK(Kvs_Burst)
+    ->UseManualTime()
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond)
+    ->Arg(0)   // unbatched: one DMA and one doorbell per request and response
+    ->Arg(1);  // batched: 250us windows on every data-plane fast path
+
 }  // namespace
 
 // CI bench-smoke: run the sustained-overwrite series once per device shape
@@ -322,18 +431,49 @@ int RunGcSmoke(double floor) {
   return ok ? 0 : 1;
 }
 
+// CI bench-smoke: run the burst unbatched and batched, print every count,
+// and fail unless batching cuts both doorbells and DMA transfers per op.
+int RunBatchSmoke() {
+  BurstResult unbatched = RunBurst(/*batched=*/false);
+  BurstResult batched = RunBurst(/*batched=*/true);
+  auto print = [](const char* name, const BurstResult& r) {
+    std::printf("%-9s %.1f ops/s  events/op %.4f  doorbells/op %.4f  dma/op %.4f  "
+                "sg_segments %llu  flushes %llu/%llu\n",
+                name, r.ops_per_sec(), BurstResult::PerOp(r.events),
+                BurstResult::PerOp(r.doorbells), BurstResult::PerOp(r.dma_transfers),
+                static_cast<unsigned long long>(r.sg_segments),
+                static_cast<unsigned long long>(r.client_flushes),
+                static_cast<unsigned long long>(r.service_flushes));
+  };
+  print("unbatched", unbatched);
+  print("batched", batched);
+  bool ok = true;
+  if (batched.doorbells >= unbatched.doorbells) {
+    std::printf("FAIL: batching did not cut doorbells per op\n");
+    ok = false;
+  }
+  if (batched.dma_transfers >= unbatched.dma_transfers) {
+    std::printf("FAIL: batching did not cut DMA transfers per op\n");
+    ok = false;
+  }
+  return ok ? 0 : 1;
+}
+
 }  // namespace lastcpu
 
-// Custom main so CI can run `--gc-smoke [--gc-floor=F]` (not google-benchmark
-// flags): the smoke path skips benchmark registration entirely and exits
-// non-zero when the GC floor check fails.
+// Custom main so CI can run `--gc-smoke [--gc-floor=F]` and `--batch-smoke`
+// (not google-benchmark flags): a smoke path skips benchmark registration
+// entirely and exits non-zero when its check fails.
 int main(int argc, char** argv) {
   bool gc_smoke = false;
+  bool batch_smoke = false;
   double gc_floor = 0.25;
   int kept = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--gc-smoke") == 0) {
       gc_smoke = true;
+    } else if (std::strcmp(argv[i], "--batch-smoke") == 0) {
+      batch_smoke = true;
     } else if (std::strncmp(argv[i], "--gc-floor=", 11) == 0) {
       gc_floor = std::stod(std::string(argv[i] + 11));
     } else {
@@ -343,6 +483,9 @@ int main(int argc, char** argv) {
   argc = kept;
   if (gc_smoke) {
     return lastcpu::RunGcSmoke(gc_floor);
+  }
+  if (batch_smoke) {
+    return lastcpu::RunBatchSmoke();
   }
   ::benchmark::Initialize(&argc, argv);
   if (::benchmark::ReportUnrecognizedArguments(argc, argv)) {
