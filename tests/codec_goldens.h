@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/proto/message.h"
+#include "tests/hex.h"
 
 namespace lastcpu::proto {
 
@@ -24,8 +25,8 @@ struct CodecGolden {
 // One entry per Payload alternative, in variant order.
 std::vector<CodecGolden> CodecGoldens();
 
-std::vector<uint8_t> HexToBytes(std::string_view hex);
-std::string BytesToHex(std::span<const uint8_t> bytes);
+using testutil::BytesToHex;
+using testutil::HexToBytes;
 
 // Equal in every field the wire carries (the trace context is not encoded).
 bool SameWireMessage(const Message& a, const Message& b);

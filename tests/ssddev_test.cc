@@ -11,10 +11,12 @@
 #include "src/auth/auth_client.h"
 #include "src/memdev/memory_controller.h"
 #include "src/ssddev/file_client.h"
+#include "src/ssddev/file_protocol.h"
 #include "src/ssddev/flash_fs.h"
 #include "src/ssddev/ftl.h"
 #include "src/ssddev/nand.h"
 #include "src/ssddev/smart_ssd.h"
+#include "tests/hex.h"
 #include "tests/test_util.h"
 
 namespace lastcpu::ssddev {
@@ -505,6 +507,113 @@ TEST_F(FtlTest, RechargedRecoveryOccupiesDies) {
   simulator_.Run();
   // 8 blocks * 8 pages * 200ns scan = 12.8us of scan ahead of the 50us read.
   EXPECT_GT((done - start).nanos(), NandTiming{}.read_latency.nanos());
+}
+
+// --- format goldens -------------------------------------------------------------
+//
+// The exact bytes of the FTL journal page and of both file-ring headers. Every
+// field holds a distinct value, so a field at the wrong offset, of the wrong
+// width or in the wrong byte order changes the bytes even when encoder and
+// decoder agree.
+
+std::string Describe(const MetaRecord& r) {
+  auto join = [](const std::vector<std::string>& names) {
+    std::string out;
+    for (const std::string& name : names) {
+      out += (out.empty() ? "" : ",") + name;
+    }
+    return out;
+  };
+  return "kind=" + std::to_string(static_cast<int>(r.kind)) + " seq=" + std::to_string(r.seq) +
+         " lpn=" + std::to_string(r.lpn) + " file=" + std::to_string(r.file_id) +
+         " name=" + r.name + " owner=" + r.acl_owner + " readers=" + join(r.acl_readers) +
+         " writers=" + join(r.acl_writers);
+}
+
+TEST_F(FtlTest, MetaPageGoldenBytes) {
+  WriteSync(3, 0x33);  // mapped, so its trim journals a tombstone
+  MetaRecord create;
+  create.kind = MetaRecord::Kind::kFsCreate;
+  create.lpn = 0x0102030405060708;
+  create.file_id = 0x11121314;
+  create.name = "kv.log";
+  create.acl_owner = "nic";
+  create.acl_readers = {"nic", "ssd"};
+  create.acl_writers = {"app"};
+  ftl_.AppendMeta(create);
+  ftl_.Trim(3);
+  bool synced = false;
+  ftl_.SyncMeta([&](Status s) {
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    synced = true;
+  });
+  simulator_.Run();
+  ASSERT_TRUE(synced);
+
+  std::vector<std::string> pages;
+  const NandGeometry& g = nand_.geometry();
+  for (uint32_t d = 0; d < g.dies; ++d) {
+    for (uint32_t b = 0; b < g.blocks_per_die; ++b) {
+      for (uint32_t p = 0; p < g.pages_per_block; ++p) {
+        Ppa ppa{d, b, p};
+        if (nand_.StateOf(ppa) == NandArray::PageState::kWritten &&
+            nand_.OobOf(ppa).kind == OobTag::Kind::kMeta) {
+          pages.push_back(testutil::BytesToHex(nand_.DataOf(ppa)));
+        }
+      }
+    }
+  }
+  // count u32, then each record: kind | seq u64 | lpn u64 | file_id u32 |
+  // name | owner | readers | writers, a string as u16 length + bytes and a
+  // list as u16 count + strings.
+  EXPECT_EQ(pages, std::vector<std::string>{
+                       "02000000"
+                       "02" "0200000000000000" "0807060504030201" "14131211"
+                       "0600" "6b762e6c6f67" "0300" "6e6963"
+                       "0200" "0300" "6e6963" "0300" "737364" "0100" "0300" "617070"
+                       "01" "0300000000000000" "0300000000000000" "00000000"
+                       "0000" "0000" "0000" "0000"});
+
+  ftl_.PowerCut();
+  ftl_.Recover();
+  simulator_.Run();
+  std::vector<std::string> recovered;
+  for (const MetaRecord& record : ftl_.recovered_meta()) {
+    recovered.push_back(Describe(record));
+  }
+  EXPECT_EQ(recovered,
+            (std::vector<std::string>{
+                "kind=2 seq=2 lpn=72623859790382856 file=286397204 name=kv.log owner=nic "
+                "readers=nic,ssd writers=app",
+                "kind=1 seq=3 lpn=3 file=0 name= owner= readers= writers="}));
+}
+
+TEST(FileHeaderGolden, Request) {
+  const FileRequestHeader header{FileOp::kWrite, 0x0102030405060708, 0x11121314};
+  // op | 3 reserved | offset u64 | length u32
+  constexpr std::string_view kHex = "02" "000000" "0807060504030201" "14131211";
+  std::vector<uint8_t> wire(FileRequestHeader::kWireBytes);
+  header.EncodeTo(wire);
+  EXPECT_EQ(testutil::BytesToHex(wire), kHex);
+  auto decoded = FileRequestHeader::DecodeFrom(testutil::HexToBytes(kHex));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->op, header.op);
+  EXPECT_EQ(decoded->offset, header.offset);
+  EXPECT_EQ(decoded->length, header.length);
+}
+
+TEST(FileHeaderGolden, Response) {
+  const FileResponseHeader header{StatusCode::kNotFound, 0x00001314, 0x2122232425262728};
+  // status | 3 reserved | length u32 | file_size u64
+  constexpr std::string_view kHex = "02" "000000" "14130000" "2827262524232221";
+  std::vector<uint8_t> wire(FileResponseHeader::kWireBytes);
+  header.EncodeTo(wire);
+  EXPECT_EQ(testutil::BytesToHex(wire), kHex);
+  auto decoded = FileResponseHeader::DecodeFrom(testutil::HexToBytes(kHex));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->status, header.status);
+  EXPECT_EQ(decoded->length, header.length);
+  EXPECT_EQ(decoded->file_size, header.file_size);
 }
 
 // --- FlashFs ------------------------------------------------------------------
