@@ -133,6 +133,17 @@ class Result {
   std::variant<T, Status> state_;
 };
 
+// Moves a successful result's value into `out`; otherwise returns its error
+// and leaves `out` alone.
+template <typename T>
+Status Assign(Result<T> result, T& out) {
+  if (!result.ok()) {
+    return result.status();
+  }
+  out = *std::move(result);
+  return OkStatus();
+}
+
 // Status-like specialization: no value, but unlike the primary template it
 // may hold an OK state, so Result<void> is the uniform "operation outcome"
 // for completion callbacks (see Callback<T> below).

@@ -27,6 +27,9 @@ struct KvsRequest {
   std::string key;
   std::vector<uint8_t> value;  // put only
 
+  static constexpr uint64_t kHeaderBytes = 15;  // op u8 + seq u64 + key u16 + val u32
+
+  uint64_t EncodedBytes() const { return kHeaderBytes + key.size() + value.size(); }
   std::vector<uint8_t> Encode() const;
   static Result<KvsRequest> Decode(std::span<const uint8_t> wire);
 };
@@ -37,6 +40,9 @@ struct KvsResponse {
   uint64_t sequence = 0;
   std::vector<uint8_t> value;  // get only
 
+  static constexpr uint64_t kHeaderBytes = 13;  // status u8 + seq u64 + val u32
+
+  uint64_t EncodedBytes() const { return kHeaderBytes + value.size(); }
   std::vector<uint8_t> Encode() const;
   static Result<KvsResponse> Decode(std::span<const uint8_t> wire);
 };

@@ -1,6 +1,5 @@
 #include "src/mem/physical_memory.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "src/base/check.h"
@@ -41,36 +40,6 @@ void PhysicalMemory::ZeroFrame(uint64_t frame) {
     std::memset(storage_.get() + (frame << kPageShift), 0, kPageSize);
     written_[frame] = false;
   }
-}
-
-uint8_t PhysicalMemory::ReadByte(PhysAddr addr) const {
-  LASTCPU_CHECK(addr.raw < size_, "byte read out of range");
-  return storage_[addr.raw];
-}
-
-void PhysicalMemory::WriteByte(PhysAddr addr, uint8_t value) {
-  LASTCPU_CHECK(addr.raw < size_, "byte write out of range");
-  storage_[addr.raw] = value;
-  written_[addr.raw >> kPageShift] = true;
-}
-
-uint64_t PhysicalMemory::ReadU64(PhysAddr addr) const {
-  uint8_t buf[8];
-  Read(addr, buf);
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | buf[i];
-  }
-  return v;
-}
-
-void PhysicalMemory::WriteU64(PhysAddr addr, uint64_t value) {
-  uint8_t buf[8];
-  for (auto& b : buf) {
-    b = static_cast<uint8_t>(value);
-    value >>= 8;
-  }
-  Write(addr, buf);
 }
 
 }  // namespace lastcpu::mem

@@ -39,12 +39,6 @@ class PhysicalMemory {
   // another application's stale data).
   void ZeroFrame(uint64_t frame);
 
-  uint8_t ReadByte(PhysAddr addr) const;
-  void WriteByte(PhysAddr addr, uint8_t value);
-
-  uint64_t ReadU64(PhysAddr addr) const;
-  void WriteU64(PhysAddr addr, uint64_t value);
-
  private:
   struct FreeDeleter {
     void operator()(uint8_t* bytes) const { std::free(bytes); }

@@ -5,6 +5,8 @@
 #include <type_traits>
 #include <utility>
 
+#include "src/base/bytes.h"
+
 namespace lastcpu::proto {
 namespace {
 
@@ -111,15 +113,6 @@ constexpr size_t kMinBytes = [] {
   return counter.size();
 }();
 
-template <typename T>
-Status Assign(Result<T> result, T& out) {
-  if (!result.ok()) {
-    return result.status();
-  }
-  out = *std::move(result);
-  return OkStatus();
-}
-
 Status Get(ByteReader& r, uint8_t& v) { return Assign(r.GetU8(), v); }
 Status Get(ByteReader& r, uint16_t& v) { return Assign(r.GetU16(), v); }
 Status Get(ByteReader& r, uint32_t& v) { return Assign(r.GetU32(), v); }
@@ -206,79 +199,6 @@ constexpr auto kPayloadDecoders =
     PayloadDecoders(std::make_index_sequence<std::variant_size_v<Payload>>());
 
 }  // namespace
-
-void ByteWriter::PutU16(uint16_t v) {
-  PutU8(static_cast<uint8_t>(v));
-  PutU8(static_cast<uint8_t>(v >> 8));
-}
-
-void ByteWriter::PutU32(uint32_t v) {
-  PutU16(static_cast<uint16_t>(v));
-  PutU16(static_cast<uint16_t>(v >> 16));
-}
-
-void ByteWriter::PutU64(uint64_t v) {
-  PutU32(static_cast<uint32_t>(v));
-  PutU32(static_cast<uint32_t>(v >> 32));
-}
-
-void ByteWriter::PutString(const std::string& s) {
-  PutU32(static_cast<uint32_t>(s.size()));
-  bytes_.insert(bytes_.end(), s.begin(), s.end());
-}
-
-Result<uint8_t> ByteReader::GetU8() {
-  if (pos_ >= data_.size()) {
-    return InvalidArgument("truncated message");
-  }
-  return data_[pos_++];
-}
-
-Result<uint16_t> ByteReader::GetU16() {
-  if (remaining() < 2) {
-    return InvalidArgument("truncated message");
-  }
-  uint16_t v = static_cast<uint16_t>(data_[pos_]) | static_cast<uint16_t>(data_[pos_ + 1]) << 8;
-  pos_ += 2;
-  return v;
-}
-
-Result<uint32_t> ByteReader::GetU32() {
-  if (remaining() < 4) {
-    return InvalidArgument("truncated message");
-  }
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | data_[pos_ + static_cast<size_t>(i)];
-  }
-  pos_ += 4;
-  return v;
-}
-
-Result<uint64_t> ByteReader::GetU64() {
-  if (remaining() < 8) {
-    return InvalidArgument("truncated message");
-  }
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | data_[pos_ + static_cast<size_t>(i)];
-  }
-  pos_ += 8;
-  return v;
-}
-
-Result<std::string> ByteReader::GetString() {
-  auto len = GetU32();
-  if (!len.ok()) {
-    return len.status();
-  }
-  if (remaining() < *len) {
-    return InvalidArgument("truncated string");
-  }
-  std::string s(reinterpret_cast<const char*>(data_.data() + pos_), *len);
-  pos_ += *len;
-  return s;
-}
 
 std::vector<uint8_t> EncodeMessage(const Message& message) {
   ByteWriter w;

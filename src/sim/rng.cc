@@ -1,7 +1,9 @@
 #include "src/sim/rng.h"
 
+#include <algorithm>
 #include <cmath>
 
+#include "src/base/bytes.h"
 #include "src/base/check.h"
 
 namespace lastcpu::sim {
@@ -74,18 +76,14 @@ double Rng::NextExponential(double mean) {
 
 void Rng::Fill(std::vector<uint8_t>& out) {
   size_t i = 0;
-  while (i + 8 <= out.size()) {
-    uint64_t word = NextU64();
-    for (int b = 0; b < 8; ++b) {
-      out[i++] = static_cast<uint8_t>(word >> (8 * b));
-    }
+  for (; i + 8 <= out.size(); i += 8) {
+    StoreLe(out, i, NextU64());
   }
   if (i < out.size()) {
-    uint64_t word = NextU64();
-    for (; i < out.size(); ++i) {
-      out[i] = static_cast<uint8_t>(word);
-      word >>= 8;
-    }
+    // The tail takes the low bytes of one more word.
+    uint8_t word[8];
+    StoreLe(word, 0, NextU64());
+    std::copy_n(word, out.size() - i, out.begin() + static_cast<ptrdiff_t>(i));
   }
 }
 

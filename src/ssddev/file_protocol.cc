@@ -1,37 +1,10 @@
 #include "src/ssddev/file_protocol.h"
 
+#include "src/base/bytes.h"
 #include "src/base/check.h"
 
 namespace lastcpu::ssddev {
 namespace {
-
-void PutU32At(std::span<uint8_t> out, size_t at, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out[at + static_cast<size_t>(i)] = static_cast<uint8_t>(v >> (8 * i));
-  }
-}
-
-void PutU64At(std::span<uint8_t> out, size_t at, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out[at + static_cast<size_t>(i)] = static_cast<uint8_t>(v >> (8 * i));
-  }
-}
-
-uint32_t GetU32At(std::span<const uint8_t> in, size_t at) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | in[at + static_cast<size_t>(i)];
-  }
-  return v;
-}
-
-uint64_t GetU64At(std::span<const uint8_t> in, size_t at) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | in[at + static_cast<size_t>(i)];
-  }
-  return v;
-}
 
 // Bytes 1-3 of both headers are reserved and always encoded as zero.
 bool ReservedBytesZero(std::span<const uint8_t> in) { return (in[1] | in[2] | in[3]) == 0; }
@@ -42,8 +15,8 @@ void FileRequestHeader::EncodeTo(std::span<uint8_t> out) const {
   LASTCPU_CHECK(out.size() >= kWireBytes, "request header buffer too small");
   out[0] = static_cast<uint8_t>(op);
   out[1] = out[2] = out[3] = 0;
-  PutU64At(out, 4, offset);
-  PutU32At(out, 12, length);
+  StoreLe<uint64_t>(out, 4, offset);
+  StoreLe<uint32_t>(out, 12, length);
 }
 
 Result<FileRequestHeader> FileRequestHeader::DecodeFrom(std::span<const uint8_t> in) {
@@ -58,8 +31,8 @@ Result<FileRequestHeader> FileRequestHeader::DecodeFrom(std::span<const uint8_t>
   }
   FileRequestHeader header;
   header.op = static_cast<FileOp>(in[0]);
-  header.offset = GetU64At(in, 4);
-  header.length = GetU32At(in, 12);
+  header.offset = LoadLe<uint64_t>(in, 4);
+  header.length = LoadLe<uint32_t>(in, 12);
   return header;
 }
 
@@ -67,8 +40,8 @@ void FileResponseHeader::EncodeTo(std::span<uint8_t> out) const {
   LASTCPU_CHECK(out.size() >= kWireBytes, "response header buffer too small");
   out[0] = static_cast<uint8_t>(status);
   out[1] = out[2] = out[3] = 0;
-  PutU32At(out, 4, length);
-  PutU64At(out, 8, file_size);
+  StoreLe<uint32_t>(out, 4, length);
+  StoreLe<uint64_t>(out, 8, file_size);
 }
 
 Result<FileResponseHeader> FileResponseHeader::DecodeFrom(std::span<const uint8_t> in) {
@@ -80,8 +53,8 @@ Result<FileResponseHeader> FileResponseHeader::DecodeFrom(std::span<const uint8_
   }
   FileResponseHeader header;
   header.status = static_cast<StatusCode>(in[0]);
-  header.length = GetU32At(in, 4);
-  header.file_size = GetU64At(in, 8);
+  header.length = LoadLe<uint32_t>(in, 4);
+  header.file_size = LoadLe<uint64_t>(in, 8);
   // The client DMA-reads `length` bytes after the header, so a longer claim
   // would read past the response slot.
   if (header.length > kMaxReadBytes) {

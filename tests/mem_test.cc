@@ -4,9 +4,12 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <iterator>
 #include <set>
+#include <span>
 #include <vector>
 
+#include "src/base/bytes.h"
 #include "src/mem/buddy_allocator.h"
 #include "src/mem/physical_memory.h"
 #include "src/sim/rng.h"
@@ -30,17 +33,14 @@ TEST(PhysicalMemoryTest, ReadBackWrites) {
   EXPECT_EQ(out, data);
 }
 
-TEST(PhysicalMemoryTest, U64RoundTrip) {
-  PhysicalMemory memory(1 << 16);
-  memory.WriteU64(PhysAddr(8), 0x1122334455667788ULL);
-  EXPECT_EQ(memory.ReadU64(PhysAddr(8)), 0x1122334455667788ULL);
-}
-
 TEST(PhysicalMemoryTest, ZeroFrameClears) {
   PhysicalMemory memory(1 << 16);
-  memory.WriteByte(PhysAddr(kPageSize + 5), 0xAB);
+  const uint8_t written[] = {0xAB};
+  memory.Write(PhysAddr(kPageSize + 5), written);
   memory.ZeroFrame(1);
-  EXPECT_EQ(memory.ReadByte(PhysAddr(kPageSize + 5)), 0);
+  uint8_t read[] = {0xFF};
+  memory.Read(PhysAddr(kPageSize + 5), read);
+  EXPECT_EQ(read[0], 0);
 }
 
 TEST(PhysicalMemoryTest, OutOfRangeAborts) {
@@ -57,8 +57,8 @@ TEST(PhysicalMemoryTest, AccessWrappingPastTopOfAddressSpaceAborts) {
   EXPECT_DEATH(memory.Read(PhysAddr(UINT64_MAX - 3), data), "out of range");
 }
 
-// Property test: every write path, against a plain byte-vector shadow. A
-// path that failed to mark its frame as written would let ZeroFrame skip
+// Property test: writes of every shape, against a plain byte-vector shadow. A
+// write that failed to mark its frame as written would let ZeroFrame skip
 // it, leaking one application's bytes to the frame's next owner.
 class PhysicalMemoryPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -81,17 +81,18 @@ TEST_P(PhysicalMemoryPropertyTest, MatchesByteShadowAcrossWritesAndZeroing) {
       memory.Write(PhysAddr(addr), data);
       std::copy(data.begin(), data.end(), shadow.begin() + static_cast<ptrdiff_t>(addr));
     } else if (kind == 1) {
+      // One byte: the smallest write, inside a single frame.
       uint64_t addr = rng.NextBelow(shadow.size());
-      auto value = static_cast<uint8_t>(rng.NextInRange(1, 255));
-      memory.WriteByte(PhysAddr(addr), value);
-      shadow[addr] = value;
+      const uint8_t value[] = {static_cast<uint8_t>(rng.NextInRange(1, 255))};
+      memory.Write(PhysAddr(addr), value);
+      shadow[addr] = value[0];
     } else if (kind == 2) {
+      // One little-endian word, which may straddle a frame boundary.
       uint64_t addr = rng.NextBelow(shadow.size() - 7);
-      uint64_t value = rng.NextU64();
-      memory.WriteU64(PhysAddr(addr), value);
-      for (int i = 0; i < 8; ++i) {
-        shadow[addr + static_cast<uint64_t>(i)] = static_cast<uint8_t>(value >> (8 * i));
-      }
+      uint8_t word[8];
+      StoreLe(word, 0, rng.NextU64());
+      memory.Write(PhysAddr(addr), word);
+      std::copy(std::begin(word), std::end(word), shadow.begin() + static_cast<ptrdiff_t>(addr));
     } else {
       uint64_t frame = rng.NextBelow(kFrames);
       memory.ZeroFrame(frame);
@@ -100,12 +101,13 @@ TEST_P(PhysicalMemoryPropertyTest, MatchesByteShadowAcrossWritesAndZeroing) {
     memory.Read(PhysAddr(0), seen);
     ASSERT_EQ(seen, shadow) << "diverged at step " << step;
     uint64_t probe = rng.NextBelow(shadow.size() - 7);
-    ASSERT_EQ(memory.ReadByte(PhysAddr(probe)), shadow[probe]);
-    uint64_t word = 0;
-    for (int i = 7; i >= 0; --i) {
-      word = (word << 8) | shadow[probe + static_cast<uint64_t>(i)];
-    }
-    ASSERT_EQ(memory.ReadU64(PhysAddr(probe)), word);
+    uint8_t byte[1];
+    memory.Read(PhysAddr(probe), byte);
+    ASSERT_EQ(byte[0], shadow[probe]);
+    uint8_t word[8];
+    memory.Read(PhysAddr(probe), word);
+    ASSERT_EQ(LoadLe<uint64_t>(word, 0),
+              LoadLe<uint64_t>(std::span<const uint8_t>(shadow).subspan(probe, 8), 0));
   }
 }
 

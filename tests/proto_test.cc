@@ -6,6 +6,7 @@
 #include <variant>
 #include <vector>
 
+#include "src/base/bytes.h"
 #include "src/proto/codec.h"
 #include "src/proto/message.h"
 #include "tests/codec_goldens.h"
@@ -36,6 +37,18 @@ TEST(CodecTest, ByteWriterLittleEndian) {
   ASSERT_EQ(w.size(), 4u);
   EXPECT_EQ(w.bytes()[0], 0x44);
   EXPECT_EQ(w.bytes()[3], 0x11);
+}
+
+TEST(CodecTest, StoreLoadLittleEndianAtOffset) {
+  std::vector<uint8_t> buf(16, 0xEE);
+  StoreLe<uint16_t>(buf, 1, 0x1122);
+  StoreLe<uint32_t>(buf, 3, 0x33445566);
+  StoreLe<uint64_t>(buf, 7, 0x778899AABBCCDDEE);
+  EXPECT_EQ(buf, (std::vector<uint8_t>{0xEE, 0x22, 0x11, 0x66, 0x55, 0x44, 0x33, 0xEE, 0xDD,
+                                       0xCC, 0xBB, 0xAA, 0x99, 0x88, 0x77, 0xEE}));
+  EXPECT_EQ(LoadLe<uint16_t>(buf, 1), 0x1122);
+  EXPECT_EQ(LoadLe<uint32_t>(buf, 3), 0x33445566u);
+  EXPECT_EQ(LoadLe<uint64_t>(buf, 7), 0x778899AABBCCDDEEu);
 }
 
 TEST(CodecTest, ByteReaderRejectsTruncation) {
