@@ -1,11 +1,22 @@
 #include "src/baseline/central_kernel.h"
 
 #include <algorithm>
+#include <string>
+#include <string_view>
 #include <utility>
 
 #include "src/base/check.h"
 
 namespace lastcpu::baseline {
+namespace {
+
+// "pasid=<pasid> <key>=<value>": the span detail of a kernel memory op.
+std::string OpDetail(Pasid pasid, std::string_view key, uint64_t value) {
+  return "pasid=" + std::to_string(pasid.value()) + " " + std::string(key) + "=" +
+         std::to_string(value);
+}
+
+}  // namespace
 
 CentralKernel::CentralKernel(sim::Simulator* simulator, mem::PhysicalMemory* memory,
                              CentralKernelConfig config, sim::TraceLog* trace)
@@ -132,8 +143,7 @@ void CentralKernel::AllocMemory(DeviceId requester, Pasid pasid, uint64_t bytes,
   LASTCPU_CHECK(done != nullptr, "alloc without callback");
   uint64_t pages = PagesForBytes(bytes);
   sim::Duration service = config_.mm_service + config_.per_page_cost * pages;
-  sim::SpanId span = BeginOpSpan("Alloc", "pasid=" + std::to_string(pasid.value()) +
-                                              " bytes=" + std::to_string(bytes));
+  sim::SpanId span = BeginOpSpan("Alloc", [&] { return OpDetail(pasid, "bytes", bytes); });
   RunOnCpu(service, [this, requester, pasid, bytes, pages, done = std::move(done)] {
     if (bytes == 0) {
       done(InvalidArgument("zero-byte allocation"));
@@ -159,8 +169,7 @@ void CentralKernel::FreeMemory(DeviceId requester, Pasid pasid, VirtAddr vaddr, 
   LASTCPU_CHECK(done != nullptr, "free without callback");
   uint64_t pages = PagesForBytes(bytes);
   sim::Duration service = config_.mm_service + config_.per_page_cost * pages;
-  sim::SpanId span = BeginOpSpan("Free", "pasid=" + std::to_string(pasid.value()) +
-                                             " bytes=" + std::to_string(bytes));
+  sim::SpanId span = BeginOpSpan("Free", [&] { return OpDetail(pasid, "bytes", bytes); });
   RunOnCpu(service, [this, requester, pasid, vaddr, pages, done = std::move(done)] {
     auto owned = leases_.Owned(requester, pasid, vaddr, pages);
     if (!owned.ok()) {
@@ -179,8 +188,7 @@ void CentralKernel::AllocMemoryBatch(DeviceId requester, Pasid pasid, uint64_t b
   // One interrupt + one syscall entry for the whole batch; the handler still
   // does per-allocation work.
   sim::Duration service = (config_.mm_service + config_.per_page_cost * pages) * count;
-  sim::SpanId span = BeginOpSpan("AllocBatch", "pasid=" + std::to_string(pasid.value()) +
-                                                   " count=" + std::to_string(count));
+  sim::SpanId span = BeginOpSpan("AllocBatch", [&] { return OpDetail(pasid, "count", count); });
   RunOnCpu(service, [this, requester, pasid, bytes, pages, count, done = std::move(done)] {
     if (bytes == 0 || count == 0) {
       done(InvalidArgument("empty batch allocation"));
@@ -217,8 +225,8 @@ void CentralKernel::FreeMemoryBatch(DeviceId requester, Pasid pasid, std::vector
   uint64_t pages = PagesForBytes(bytes);
   sim::Duration service =
       (config_.mm_service + config_.per_page_cost * pages) * static_cast<uint32_t>(vaddrs.size());
-  sim::SpanId span = BeginOpSpan("FreeBatch", "pasid=" + std::to_string(pasid.value()) +
-                                                  " count=" + std::to_string(vaddrs.size()));
+  sim::SpanId span =
+      BeginOpSpan("FreeBatch", [&] { return OpDetail(pasid, "count", vaddrs.size()); });
   RunOnCpu(service, [this, requester, pasid, vaddrs = std::move(vaddrs), pages,
                      done = std::move(done)] {
     if (vaddrs.empty()) {
@@ -249,8 +257,8 @@ void CentralKernel::Grant(DeviceId owner, Pasid pasid, VirtAddr vaddr, uint64_t 
   LASTCPU_CHECK(done != nullptr, "grant without callback");
   uint64_t pages = PagesForBytes(bytes);
   sim::Duration service = config_.mm_service + config_.per_page_cost * pages;
-  sim::SpanId span = BeginOpSpan("Grant", "pasid=" + std::to_string(pasid.value()) +
-                                              " grantee=" + std::to_string(grantee.value()));
+  sim::SpanId span =
+      BeginOpSpan("Grant", [&] { return OpDetail(pasid, "grantee", grantee.value()); });
   RunOnCpu(service, [this, owner, pasid, vaddr, bytes, grantee, access, done = std::move(done)] {
     auto granted = leases_.Grant(owner, pasid, vaddr, bytes, grantee, access);
     if (!granted.ok()) {
@@ -270,8 +278,8 @@ void CentralKernel::Revoke(DeviceId owner, Pasid pasid, VirtAddr vaddr, uint64_t
   LASTCPU_CHECK(done != nullptr, "revoke without callback");
   uint64_t pages = PagesForBytes(bytes);
   sim::Duration service = config_.mm_service + config_.per_page_cost * pages;
-  sim::SpanId span = BeginOpSpan("Revoke", "pasid=" + std::to_string(pasid.value()) +
-                                               " grantee=" + std::to_string(grantee.value()));
+  sim::SpanId span =
+      BeginOpSpan("Revoke", [&] { return OpDetail(pasid, "grantee", grantee.value()); });
   RunOnCpu(service, [this, owner, pasid, vaddr, bytes, grantee, done = std::move(done)] {
     auto revoked = leases_.Revoke(owner, pasid, vaddr, bytes, grantee);
     if (revoked.ok()) {
@@ -290,7 +298,8 @@ void CentralKernel::Teardown(Pasid pasid, Callback<void> done) {
     }
   }
   sim::Duration service = config_.mm_service + config_.per_page_cost * pages;
-  sim::SpanId span = BeginOpSpan("Teardown", "pasid=" + std::to_string(pasid.value()));
+  sim::SpanId span =
+      BeginOpSpan("Teardown", [&] { return "pasid=" + std::to_string(pasid.value()); });
   RunOnCpu(service, [this, pasid, done = std::move(done)] {
     leases_.Teardown(pasid,
                      [this](Pasid app, const memdev::Range& range) { UnmapRange(app, range); });
@@ -300,7 +309,7 @@ void CentralKernel::Teardown(Pasid pasid, Callback<void> done) {
 
 void CentralKernel::MediateIo(sim::Duration work, std::function<void()> done) {
   LASTCPU_CHECK(done != nullptr, "mediation without callback");
-  sim::SpanId span = BeginOpSpan("MediateIo", "");
+  sim::SpanId span = BeginOpSpan("MediateIo", [] { return std::string(); });
   RunOnCpu(config_.io_service + work, std::move(done), span);
 }
 
@@ -318,7 +327,7 @@ void CentralKernel::DecideOnCpu(bus::DeviceSupervisor::Decision decision, Device
                                 std::function<void()> decide) {
   bool failure = decision == bus::DeviceSupervisor::Decision::kFailure;
   sim::SpanId span = BeginOpSpan(failure ? "DeviceFailure" : "RestartDeadline",
-                                 "device=" + std::to_string(device.value()));
+                                 [&] { return "device=" + std::to_string(device.value()); });
   RunOnCpu(config_.io_service, [this, failure, device, decide = std::move(decide)] {
     if (failure) {
       stats_.GetCounter("device_failures").Increment();

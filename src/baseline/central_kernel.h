@@ -151,9 +151,12 @@ class CentralKernel {
   // or when unconfigured). Counts cross_segment_interrupts as a side effect.
   sim::Duration CrossSegmentExtra(DeviceId requester);
 
-  // Opens the span for one kernel-mediated control operation.
-  sim::SpanId BeginOpSpan(std::string_view name, const std::string& detail) {
-    return tracer_.BeginSpan(name, 0, detail);
+  // Opens the span for one kernel-mediated control operation. `detail`
+  // formats the span's detail text and runs only while tracing, so an
+  // untraced op builds no string.
+  template <typename DetailFn>
+  sim::SpanId BeginOpSpan(std::string_view name, DetailFn detail) {
+    return tracer_.enabled() ? tracer_.BeginSpan(name, 0, detail()) : 0;
   }
 
   // Takes one supervisor decision on the CPU: the failure interrupt pays the

@@ -16,6 +16,7 @@
 #include "src/baseline/central_kernel.h"
 #include "src/core/control_plane.h"
 #include "src/core/machine.h"
+#include "tests/alloc_counter.h"
 #include "tests/fingerprint.h"
 #include "tests/test_util.h"
 
@@ -161,6 +162,24 @@ TEST_F(KernelTest, TeardownDropsEverything) {
   EXPECT_EQ(kernel_.AllocatedBytes(Pasid(7)), 0u);
   EXPECT_EQ(nic_iommu_.mapped_pages(Pasid(7)), 0u);
   EXPECT_EQ(ssd_iommu_.mapped_pages(Pasid(7)), 0u);
+}
+
+// With tracing off a kernel op formats no span detail. A warmed-up
+// Alloc/Grant/Free makes the same allocations whatever the lengths of the
+// numbers a detail would print: "pasid=7 bytes=1" fits the 15-character
+// small-string buffer, and "pasid=7 bytes=4095" would not.
+TEST_F(KernelTest, UntracedOpsFormatNoSpanDetail) {
+  auto cycle = [&](uint64_t bytes) -> uint64_t {
+    const uint64_t before = alloc_counter::Calls();
+    auto vaddr = client_.AllocSync(Pasid(7), bytes);
+    EXPECT_TRUE(vaddr.ok());
+    EXPECT_TRUE(client_.GrantSync(Pasid(7), *vaddr, bytes, DeviceId(2), Access::kRead).ok());
+    EXPECT_TRUE(client_.FreeSync(Pasid(7), *vaddr, bytes).ok());
+    return alloc_counter::Calls() - before;
+  };
+  cycle(1);
+  cycle(kPageSize - 1);
+  EXPECT_EQ(cycle(1), cycle(kPageSize - 1));
 }
 
 TEST_F(KernelTest, MediateIoCostsCpuTime) {
