@@ -100,21 +100,6 @@ struct ShardInfo {
   uint64_t capacity_bytes = 0;
 };
 
-// Failover behaviour of the sharded client. The defaults ride out a shard
-// restart (~hundreds of microseconds of blackout) without surfacing
-// kUnavailable to the application.
-struct ShardedClientConfig {
-  // Whole-operation retry: when every candidate shard answered kUnavailable /
-  // kPartitioned (a failover or partition window), the operation re-resolves
-  // and retries after this backoff, up to max_op_retries times.
-  sim::Duration retry_backoff = sim::Duration::Micros(50);
-  uint32_t max_op_retries = 20;
-  // Lease re-assertion pacing: retries while the target shard is still
-  // rebooting or the takeover has not landed yet.
-  sim::Duration reassert_backoff = sim::Duration::Micros(100);
-  uint32_t max_reassert_attempts = 40;
-};
-
 // Decentralized, rack-scale: allocations pick a controller shard by policy
 // and go to it directly; grant/free ride through the bus, which routes them
 // to the owning shard by virtual address (each shard bump-allocates in its
@@ -126,8 +111,7 @@ class ShardedControlClient : public ControlClient {
   // defines the deterministic round-robin sequence. The requester's segment
   // (from its device id) anchors the home-node policy.
   ShardedControlClient(dev::Device* requester, std::vector<ShardInfo> shards,
-                       AllocationPolicy policy = AllocationPolicy::kHomeNode,
-                       ShardedClientConfig config = {});
+                       AllocationPolicy policy = AllocationPolicy::kHomeNode);
   ~ShardedControlClient() override;
 
   void Alloc(Pasid pasid, uint64_t bytes, Callback<VirtAddr> done) override;
@@ -207,7 +191,6 @@ class ShardedControlClient : public ControlClient {
 
   dev::Device* requester_;
   AllocationPolicy policy_;
-  ShardedClientConfig config_;
   std::vector<Shard> shards_;
   std::map<uint64_t, Lease> leases_;  // keyed by vaddr.raw
   size_t rr_next_ = 0;

@@ -49,8 +49,6 @@ struct TopologySpec {
   // Shards Boot() carves physical memory into, spread across the segments.
   // 0 = none; the caller adds controllers itself (flat machine).
   uint32_t memory_shards = 0;
-  // Placement policy for clients built from shard_infos().
-  AllocationPolicy policy = AllocationPolicy::kHomeNode;
 };
 
 struct MachineConfig {
