@@ -124,8 +124,11 @@ class Result {
     return std::move(std::get<T>(state_));
   }
 
+  // `*std::move(result)` consumes the result: it moves the value out rather
+  // than binding the const overload and copying it.
   const T& operator*() const& { return value(); }
   T& operator*() & { return value(); }
+  T&& operator*() && { return std::move(*this).value(); }
   const T* operator->() const { return &value(); }
   T* operator->() { return &value(); }
 

@@ -72,19 +72,24 @@ std::optional<uint32_t> KvsEngine::GenOf(const std::string& name) const {
   return generation;
 }
 
-void KvsEngine::RunOrQueue(sim::MoveFn<void(), 256> op) {
+void KvsEngine::RunOrQueue(Op op) {
   if (!compacting_ && file_->HasFreeSlot() && waiting_.empty()) {
     op();
     return;
   }
   ops_queued_.Increment();
-  waiting_.push_back(std::move(op));
+  if (spare_ops_.empty()) {
+    waiting_.push_back(std::move(op));
+  } else {
+    waiting_.splice(waiting_.end(), spare_ops_, spare_ops_.begin());
+    waiting_.back() = std::move(op);
+  }
 }
 
 void KvsEngine::PumpWaiting() {
   while (!compacting_ && !waiting_.empty() && file_->HasFreeSlot()) {
-    auto op = std::move(waiting_.front());
-    waiting_.pop_front();
+    Op op = std::move(waiting_.front());
+    spare_ops_.splice(spare_ops_.begin(), waiting_, waiting_.begin());
     op();
   }
 }
@@ -297,28 +302,34 @@ void KvsEngine::Get(const std::string& key, GetCallback done) {
   }
   gets_.Increment();
   // Queue behind a compaction swap so reads never straddle the generation
-  // switch. The index lookup happens when the op actually runs.
-  RunOrQueue([this, key, done = std::move(done)]() mutable {
+  // switch. The index lookup happens when the op actually runs. Keys are
+  // captured as owned strings: a copy of the `const&` would be a const
+  // string, whose move may throw, and no longer stay inline.
+  auto op = [this, key = std::string(key), done = std::move(done)]() mutable {
     HashIndex::Location location;
     if (!index_.Get(key, &location)) {
       stats_.GetCounter("get_misses").Increment();
       done(NotFound("no such key"));
       return;
     }
-    file_->ReadAt(location.offset, location.length,
-                  [done = std::move(done)](Result<std::vector<uint8_t>> data) {
-                    if (!data.ok()) {
-                      done(data.status());
-                      return;
-                    }
-                    auto record = LogRecord::Decode(*data);
-                    if (!record.ok()) {
-                      done(DataLoss("corrupt log record"));
-                      return;
-                    }
-                    done(std::move(record->first.value));
-                  });
-  });
+    auto land = [done = std::move(done)](Result<std::vector<uint8_t>> data) {
+      if (!data.ok()) {
+        done(data.status());
+        return;
+      }
+      auto record = LogRecord::Decode(*data);
+      if (!record.ok()) {
+        done(DataLoss("corrupt log record"));
+        return;
+      }
+      done(std::move(record->first.value));
+    };
+    static_assert(ssddev::FileClient::ReadCallback::StoresInline<decltype(land)>(),
+                  "get must stay inline");
+    file_->ReadAt(location.offset, location.length, std::move(land));
+  };
+  static_assert(Op::StoresInline<decltype(op)>(), "get must stay inline");
+  RunOrQueue(std::move(op));
 }
 
 void KvsEngine::Put(const std::string& key, std::vector<uint8_t> value, PutCallback done) {
@@ -336,24 +347,29 @@ void KvsEngine::Put(const std::string& key, std::vector<uint8_t> value, PutCallb
   record.value = std::move(value);
   auto bytes = record.Encode();
   auto length = static_cast<uint32_t>(bytes.size());
-  RunOrQueue([this, key, length, bytes = std::move(bytes), done = std::move(done)]() mutable {
-    file_->Append(std::move(bytes),
-                  [this, key, length, done = std::move(done)](Result<uint64_t> at) {
-                    if (!at.ok()) {
-                      done(at.status());
-                      return;
-                    }
-                    HashIndex::Location old;
-                    if (index_.Get(key, &old)) {
-                      live_bytes_ -= old.length;
-                    }
-                    live_bytes_ += length;
-                    log_tail_ = std::max(log_tail_, *at + length);
-                    index_.Put(key, HashIndex::Location{*at, length});
-                    done(OkStatus());
-                    MaybeCompact();
-                  });
-  });
+  auto op = [this, key = std::string(key), length, bytes = std::move(bytes),
+             done = std::move(done)]() mutable {
+    auto land = [this, key = std::move(key), length, done = std::move(done)](Result<uint64_t> at) {
+      if (!at.ok()) {
+        done(at.status());
+        return;
+      }
+      HashIndex::Location old;
+      if (index_.Get(key, &old)) {
+        live_bytes_ -= old.length;
+      }
+      live_bytes_ += length;
+      log_tail_ = std::max(log_tail_, *at + length);
+      index_.Put(key, HashIndex::Location{*at, length});
+      done(OkStatus());
+      MaybeCompact();
+    };
+    static_assert(ssddev::FileClient::AppendCallback::StoresInline<decltype(land)>(),
+                  "put must stay inline");
+    file_->Append(std::move(bytes), std::move(land));
+  };
+  static_assert(Op::StoresInline<decltype(op)>(), "put must stay inline");
+  RunOrQueue(std::move(op));
 }
 
 void KvsEngine::Delete(const std::string& key, PutCallback done) {
@@ -366,28 +382,29 @@ void KvsEngine::Delete(const std::string& key, PutCallback done) {
   LogRecord record;
   record.key = key;
   record.tombstone = true;
-  RunOrQueue([this, key, bytes = record.Encode(), done = std::move(done)]() mutable {
+  RunOrQueue([this, key = std::string(key), bytes = record.Encode(),
+              done = std::move(done)]() mutable {
     HashIndex::Location location;
     if (!index_.Get(key, &location)) {
       done(NotFound("no such key"));
       return;
     }
     auto length = static_cast<uint32_t>(bytes.size());
-    file_->Append(std::move(bytes),
-                  [this, key, length, done = std::move(done)](Result<uint64_t> at) {
-                    if (!at.ok()) {
-                      done(at.status());
-                      return;
-                    }
-                    HashIndex::Location old;
-                    if (index_.Get(key, &old)) {
-                      live_bytes_ -= old.length;
-                    }
-                    log_tail_ = std::max(log_tail_, *at + length);
-                    index_.Remove(key);
-                    done(OkStatus());
-                    MaybeCompact();
-                  });
+    file_->Append(std::move(bytes), [this, key = std::move(key), length,
+                                     done = std::move(done)](Result<uint64_t> at) {
+      if (!at.ok()) {
+        done(at.status());
+        return;
+      }
+      HashIndex::Location old;
+      if (index_.Get(key, &old)) {
+        live_bytes_ -= old.length;
+      }
+      log_tail_ = std::max(log_tail_, *at + length);
+      index_.Remove(key);
+      done(OkStatus());
+      MaybeCompact();
+    });
   });
 }
 

@@ -18,8 +18,8 @@
 #define SRC_KVS_KVS_ENGINE_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -141,9 +141,13 @@ class KvsEngine {
   void AbortCompaction(Status reason, StartCallback done);
   void MaybeCompact();
 
+  // 256-byte tier: a queued op captures a key, a record and a nested
+  // 160-tier completion (256 bytes for a put) and must stay inline.
+  using Op = sim::MoveFn<void(), 256>;
+
   // Runs `op` now if the session has a free slot (and no compaction swap is
   // in progress), else queues it.
-  void RunOrQueue(sim::MoveFn<void(), 256> op);
+  void RunOrQueue(Op op);
   void PumpWaiting();
 
   dev::Device* host_;
@@ -165,9 +169,10 @@ class KvsEngine {
   // replaces it (or the engine goes away).
   std::unique_ptr<ssddev::FileClient> aborted_compact_file_;
 
-  // 256-byte tier: a queued op captures a key plus a nested 160-tier
-  // completion (~210-230 bytes) and must stay inline.
-  std::deque<sim::MoveFn<void(), 256>> waiting_;
+  // Ops waiting for a slot; finished entries wait in spare_ops_ for the next
+  // one, so queueing allocates nothing once warm.
+  std::list<Op> waiting_;
+  std::list<Op> spare_ops_;
   sim::StatsRegistry stats_;
   // Per-op counters resolved once; registry references are stable.
   sim::Counter& gets_ = stats_.GetCounter("gets");

@@ -36,6 +36,14 @@ class MoveFn<R(Args...), InlineBytes> {
  public:
   // Captures up to this many bytes are stored inline, with no allocation.
   static constexpr size_t kInlineBytes = InlineBytes;
+  // Whether a callable of type F is stored inline: it must fit the buffer
+  // and move without throwing. A capture copied from a `const std::string&`
+  // is a const string, whose move copies and may throw, so it falls back to
+  // the heap whatever its size; hot call sites static_assert this.
+  template <typename F>
+  static constexpr bool StoresInline() {
+    return StoredInline<std::decay_t<F>>();
+  }
 
   MoveFn() = default;
   MoveFn(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)

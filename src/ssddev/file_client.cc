@@ -112,9 +112,15 @@ void FileClient::Open(const std::string& file, uint64_t auth_token, OpenCallback
                                         (*done_ptr)(init);
                                         return;
                                       }
+                                      ++session_;
+                                      if (slots_.size() < depth_ / 2) {
+                                        slots_.resize(depth_ / 2);
+                                      }
                                       free_slots_.clear();
                                       for (uint16_t s = depth_ / 2; s > 0; --s) {
-                                        free_slots_.push_back(static_cast<uint16_t>(s - 1));
+                                        if (slots_[s - 1].session == 0) {
+                                          free_slots_.push_back(static_cast<uint16_t>(s - 1));
+                                        }
                                       }
                                       StartCompletionPoll();
                                       (*done_ptr)(OkStatus());
@@ -151,20 +157,18 @@ void FileClient::Issue(FileRequestHeader header, std::vector<uint8_t> payload, P
   }
   uint16_t slot = free_slots_.back();
   free_slots_.pop_back();
-  pending.slot = slot;
 
   std::vector<uint8_t> wire(FileRequestHeader::kWireBytes + payload.size());
   header.EncodeTo(wire);
   std::copy(payload.begin(), payload.end(), wire.begin() + FileRequestHeader::kWireBytes);
+  slots_[slot] = Slot{std::move(pending), session_, static_cast<uint32_t>(wire.size())};
   VirtAddr request_slot = layout_->RequestSlot(slot);
-  Request request{request_slot, layout_->ResponseSlot(slot), static_cast<uint32_t>(wire.size()),
-                  std::move(pending)};
 
   if (config_.submit_batch_window > sim::Duration::Zero()) {
     // Fast path: stage the request (the slot is already claimed, so the
     // backpressure contract is unchanged) and flush the whole batch in one
     // scatter-gather DMA + one doorbell at window close.
-    staged_.push_back(Staged{{request_slot, std::move(wire)}, std::move(request)});
+    staged_.push_back(Staged{{request_slot, std::move(wire)}, slot});
     if (!flush_.armed()) {
       flush_ = sim::ScopedEvent(
           host_->simulator(),
@@ -174,8 +178,8 @@ void FileClient::Issue(FileRequestHeader header, std::vector<uint8_t> payload, P
   }
 
   host_->fabric()->DmaWrite(host_->id(), pasid_, request_slot, std::move(wire),
-                            [this, request = std::move(request)](Status wrote) mutable {
-                              SubmitWritten(wrote, std::span<Request>(&request, 1));
+                            [this, slot](Status wrote) {
+                              SubmitWritten(wrote, std::span<const uint16_t>(&slot, 1));
                             });
 }
 
@@ -190,47 +194,49 @@ void FileClient::FlushBatch() {
     // The session was reset while requests were staged; the slot pool was
     // rebuilt, so do not return the slots.
     for (Staged& staged : batch) {
-      Fail(staged.request.pending, reset_reason_);
+      Pending pending = TakePending(staged.slot);
+      Fail(pending, reset_reason_);
     }
     return;
   }
   std::vector<fabric::DmaWriteSegment> writes;
-  std::vector<Request> requests;
+  std::vector<uint16_t> slots;
   writes.reserve(batch.size());
-  requests.reserve(batch.size());
+  slots.reserve(batch.size());
   for (Staged& staged : batch) {
     writes.push_back(std::move(staged.write));
-    requests.push_back(std::move(staged.request));
+    slots.push_back(staged.slot);
   }
   host_->stats().GetCounter("file_client_batch_flushes").Increment();
   host_->fabric()->DmaWritev(host_->id(), pasid_, std::move(writes),
-                             [this, requests = std::move(requests)](Status wrote) mutable {
-                               SubmitWritten(wrote, requests);
+                             [this, slots = std::move(slots)](Status wrote) {
+                               SubmitWritten(wrote, slots);
                              });
 }
 
-void FileClient::SubmitWritten(const Status& wrote, std::span<Request> requests) {
+void FileClient::SubmitWritten(const Status& wrote, std::span<const uint16_t> slots) {
   bool submitted = false;
-  for (Request& request : requests) {
-    if (queue_ == nullptr) {
+  for (uint16_t slot : slots) {
+    if (queue_ == nullptr || slots_[slot].session != session_) {
       // The session was reset while the DMA was in flight, or by a callback
-      // below; the slot pool was rebuilt, so do not return the slot.
-      Fail(request.pending, reset_reason_);
+      // below; the slot pool was rebuilt without this slot.
+      Pending pending = TakePending(slot);
+      FreeSlot(slot);
+      Fail(pending, reset_reason_);
       continue;
     }
     const virtio::BufferDesc chain[] = {
-        {request.request_slot, request.request_len, false},
-        {request.response_slot, static_cast<uint32_t>(kResponseSlotBytes), true}};
+        {layout_->RequestSlot(slot), slots_[slot].request_len, false},
+        {layout_->ResponseSlot(slot), static_cast<uint32_t>(kResponseSlotBytes), true}};
     Result<uint16_t> head = wrote.ok() ? queue_->Submit(chain) : Result<uint16_t>(wrote);
     if (!head.ok()) {
-      ReleaseSlot(request.pending.slot);
-      Fail(request.pending, head.status());
+      FailSlot(slot, head.status());
       continue;
     }
-    if (*head >= in_flight_.size()) {
-      in_flight_.resize(*head + 1);
+    if (*head >= head_slots_.size()) {
+      head_slots_.resize(*head + 1, kNoSlot);
     }
-    in_flight_[*head] = std::move(request.pending);
+    head_slots_[*head] = slot;
     ++in_flight_count_;
     requests_.Increment();
     submitted = true;
@@ -242,10 +248,8 @@ void FileClient::SubmitWritten(const Status& wrote, std::span<Request> requests)
 
 void FileClient::ReadAt(uint64_t offset, uint32_t length, ReadCallback done) {
   LASTCPU_CHECK(done != nullptr, "read without callback");
-  Pending pending;
-  pending.op = FileOp::kRead;
-  pending.on_read = std::move(done);
-  Issue(FileRequestHeader{FileOp::kRead, offset, length}, {}, std::move(pending));
+  Issue(FileRequestHeader{FileOp::kRead, offset, length}, {},
+        Pending{FileOp::kRead, std::move(done)});
 }
 
 void FileClient::WriteAt(uint64_t offset, std::vector<uint8_t> data, WriteCallback done) {
@@ -254,11 +258,8 @@ void FileClient::WriteAt(uint64_t offset, std::vector<uint8_t> data, WriteCallba
     done(InvalidArgument("write exceeds per-request limit"));
     return;
   }
-  Pending pending;
-  pending.op = FileOp::kWrite;
-  pending.on_write = std::move(done);
   FileRequestHeader header{FileOp::kWrite, offset, static_cast<uint32_t>(data.size())};
-  Issue(header, std::move(data), std::move(pending));
+  Issue(header, std::move(data), Pending{FileOp::kWrite, std::move(done)});
 }
 
 void FileClient::Append(std::vector<uint8_t> data, AppendCallback done) {
@@ -267,19 +268,13 @@ void FileClient::Append(std::vector<uint8_t> data, AppendCallback done) {
     done(InvalidArgument("append exceeds per-request limit"));
     return;
   }
-  Pending pending;
-  pending.op = FileOp::kAppend;
-  pending.on_append = std::move(done);
   FileRequestHeader header{FileOp::kAppend, 0, static_cast<uint32_t>(data.size())};
-  Issue(header, std::move(data), std::move(pending));
+  Issue(header, std::move(data), Pending{FileOp::kAppend, std::move(done)});
 }
 
 void FileClient::Stat(StatCallback done) {
   LASTCPU_CHECK(done != nullptr, "stat without callback");
-  Pending pending;
-  pending.op = FileOp::kStat;
-  pending.on_stat = std::move(done);
-  Issue(FileRequestHeader{FileOp::kStat, 0, 0}, {}, std::move(pending));
+  Issue(FileRequestHeader{FileOp::kStat, 0, 0}, {}, Pending{FileOp::kStat, std::move(done)});
 }
 
 uint64_t FileClient::doorbells_coalesced() const {
@@ -299,97 +294,99 @@ void FileClient::DrainCompletions() {
   // does), which drops the queue mid-drain.
   while (queue_ != nullptr) {
     auto used = queue_->PollUsed();
-    if (!used.ok() || !used->has_value()) {
+    if (!used.ok()) {
+      // The virtqueue driver refused the used ring (a corrupted chain link).
+      // The element it consumed named a request that can no longer complete,
+      // and the device may still write every other request's slot, so the
+      // whole session goes: each request in flight fails once with the error.
+      Reset(used.status());
+      return;
+    }
+    if (!used->has_value()) {
       return;
     }
     uint16_t head = (*used)->head;
-    if (head >= in_flight_.size() || !in_flight_[head].has_value()) {
+    if (head >= head_slots_.size() || head_slots_[head] == kNoSlot) {
       host_->stats().GetCounter("orphan_completions").Increment();
       continue;
     }
-    Pending pending = std::move(*in_flight_[head]);
-    in_flight_[head].reset();
+    uint16_t slot = std::exchange(head_slots_[head], kNoSlot);
     --in_flight_count_;
-    CompleteOne(head, std::move(pending));
+    CompleteOne(slot);
   }
 }
 
-void FileClient::CompleteOne(uint16_t head, Pending pending) {
-  (void)head;
-  uint16_t slot = pending.slot;
+void FileClient::CompleteOne(uint16_t slot) {
   VirtAddr response_slot = layout_->ResponseSlot(slot);
   uint8_t header_bytes[FileResponseHeader::kWireBytes];
   fabric::AccessResult read =
       host_->fabric()->MemRead(host_->id(), pasid_, response_slot, header_bytes);
   if (!read.status.ok()) {
-    ReleaseSlot(slot);
-    Fail(pending, read.status);
+    FailSlot(slot, read.status);
     return;
   }
   auto header = FileResponseHeader::DecodeFrom(header_bytes);
   if (!header.ok()) {
-    ReleaseSlot(slot);
-    Fail(pending, header.status());
+    FailSlot(slot, header.status());
     return;
   }
   if (header->status != StatusCode::kOk) {
-    ReleaseSlot(slot);
-    Fail(pending, Status(header->status, "file service error"));
+    FailSlot(slot, Status(header->status, "file service error"));
     return;
   }
+  if (slots_[slot].pending.op == FileOp::kRead && header->length > 0) {
+    host_->fabric()->DmaRead(host_->id(), pasid_,
+                             response_slot + FileResponseHeader::kWireBytes, header->length,
+                             [this, slot](Result<std::vector<uint8_t>> data) {
+                               Pending pending = TakePending(slot);
+                               ReleaseSlot(slot);
+                               std::get<ReadCallback>(pending.done)(std::move(data));
+                             });
+    return;
+  }
+  Pending pending = TakePending(slot);
+  ReleaseSlot(slot);
   switch (pending.op) {
-    case FileOp::kRead: {
-      if (header->length == 0) {
-        ReleaseSlot(slot);
-        pending.on_read(std::vector<uint8_t>());
-        return;
-      }
-      host_->fabric()->DmaRead(
-          host_->id(), pasid_, response_slot + FileResponseHeader::kWireBytes, header->length,
-          [this, slot, pending = std::move(pending)](Result<std::vector<uint8_t>> data) mutable {
-            ReleaseSlot(slot);
-            pending.on_read(std::move(data));
-          });
+    case FileOp::kRead:
+      std::get<ReadCallback>(pending.done)(std::vector<uint8_t>());
       return;
-    }
     case FileOp::kWrite:
-      ReleaseSlot(slot);
-      pending.on_write(OkStatus());
+      std::get<WriteCallback>(pending.done)(OkStatus());
       return;
     case FileOp::kAppend:
-      ReleaseSlot(slot);
-      pending.on_append(header->file_size);
-      return;
     case FileOp::kStat:
-      ReleaseSlot(slot);
-      pending.on_stat(header->file_size);
+      std::get<AppendCallback>(pending.done)(header->file_size);
       return;
   }
 }
 
+FileClient::Pending FileClient::TakePending(uint16_t slot) {
+  slots_[slot].session = 0;
+  return std::move(slots_[slot].pending);
+}
+
+void FileClient::FreeSlot(uint16_t slot) {
+  if (queue_ != nullptr && slot < depth_ / 2) {
+    free_slots_.push_back(slot);
+  }
+}
+
 void FileClient::ReleaseSlot(uint16_t slot) {
-  free_slots_.push_back(slot);
+  FreeSlot(slot);
   if (on_slot_available_) {
     on_slot_available_();
   }
 }
 
+void FileClient::FailSlot(uint16_t slot, Status status) {
+  Pending pending = TakePending(slot);
+  ReleaseSlot(slot);
+  Fail(pending, std::move(status));
+}
+
 void FileClient::Fail(Pending& pending, Status status) {
   host_->stats().GetCounter("file_client_failures").Increment();
-  switch (pending.op) {
-    case FileOp::kRead:
-      pending.on_read(status);
-      return;
-    case FileOp::kWrite:
-      pending.on_write(status);
-      return;
-    case FileOp::kAppend:
-      pending.on_append(status);
-      return;
-    case FileOp::kStat:
-      pending.on_stat(status);
-      return;
-  }
+  std::visit([&status](auto& done) { done(status); }, pending.done);
 }
 
 void FileClient::AbortAll(Status reason) {
@@ -397,18 +394,23 @@ void FileClient::AbortAll(Status reason) {
   auto staged = std::move(staged_);
   staged_.clear();
   for (Staged& s : staged) {
-    free_slots_.push_back(s.request.pending.slot);
-    Fail(s.request.pending, reason);
+    Pending pending = TakePending(s.slot);
+    FreeSlot(s.slot);
+    Fail(pending, reason);
   }
-  auto doomed = std::move(in_flight_);
-  in_flight_.clear();
-  in_flight_count_ = 0;
-  for (auto& pending : doomed) {
-    if (!pending.has_value()) {
-      continue;
+  // Take every in-flight request off the table before failing any: a
+  // failure callback may issue again or reset this session.
+  std::vector<uint16_t> doomed;
+  for (uint16_t& slot : head_slots_) {
+    if (slot != kNoSlot) {
+      doomed.push_back(std::exchange(slot, kNoSlot));
     }
-    free_slots_.push_back(pending->slot);
-    Fail(*pending, reason);
+  }
+  in_flight_count_ = 0;
+  for (uint16_t slot : doomed) {
+    Pending pending = TakePending(slot);
+    FreeSlot(slot);
+    Fail(pending, reason);
   }
 }
 

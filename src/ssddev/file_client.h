@@ -17,6 +17,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "src/sim/move_fn.h"
@@ -49,10 +50,12 @@ struct FileClientConfig {
 class FileClient {
  public:
   using OpenCallback = sim::MoveFn<void(Status), 160>;
-  using ReadCallback = sim::MoveFn<void(Result<std::vector<uint8_t>>), 160>;
-  using WriteCallback = sim::MoveFn<void(Status), 160>;
-  using AppendCallback = sim::MoveFn<void(Result<uint64_t>), 160>;
-  using StatCallback = sim::MoveFn<void(Result<uint64_t>), 160>;
+  // 224-byte tier: a KVS put's completion (a key, a length and a 160-tier
+  // callback) stays inline.
+  using ReadCallback = sim::MoveFn<void(Result<std::vector<uint8_t>>), 224>;
+  using WriteCallback = sim::MoveFn<void(Status), 224>;
+  using AppendCallback = sim::MoveFn<void(Result<uint64_t>), 224>;
+  using StatCallback = sim::MoveFn<void(Result<uint64_t>), 224>;
 
   // `host` is the device this client runs on; `pasid` the application's
   // address space. The host must forward doorbells via HandleDoorbell.
@@ -98,55 +101,65 @@ class FileClient {
   void AbortAll(Status reason);
 
   // Drops all session state without any protocol exchange (the provider is
-  // gone). A subsequent Open() re-runs the full bring-up; the application's
-  // old session memory is reclaimed at app teardown.
+  // gone, or wrote a used ring the virtqueue driver refuses). A subsequent
+  // Open() re-runs the full bring-up; the application's old session memory
+  // is reclaimed at app teardown.
   void Reset(Status reason);
 
   // Rings coalesced into a trailing doorbell by this client's batcher.
   uint64_t doorbells_coalesced() const;
 
  private:
+  // A request's waiter: its op and the one completion that op takes (Append
+  // and Stat share the Result<uint64_t> callback).
   struct Pending {
-    uint16_t slot = 0;
     FileOp op = FileOp::kRead;
-    ReadCallback on_read;
-    WriteCallback on_write;
-    AppendCallback on_append;
-    StatCallback on_stat;
+    std::variant<ReadCallback, WriteCallback, AppendCallback> done;
   };
 
-  // A request whose slot is claimed: its chain's two buffers and its waiter
-  // (pending.slot names the slot).
-  struct Request {
-    VirtAddr request_slot;
-    VirtAddr response_slot;
-    uint32_t request_len = 0;
+  // One request slot. An issued request keeps its waiter here until it
+  // completes, so the DMA completions on its way capture only the slot
+  // index. `session` names the session whose request holds the slot, 0 when
+  // free. A reset leaves a slot whose DMA is in flight busy, and Open does
+  // not hand a busy slot to the new session: it frees once its DMA is done.
+  struct Slot {
     Pending pending;
+    uint64_t session = 0;
+    uint32_t request_len = 0;
   };
 
   // One request staged for the next batch flush (submit_batch_window > 0),
   // with the write that carries it into its slot.
   struct Staged {
     fabric::DmaWriteSegment write;
-    Request request;
+    uint16_t slot = 0;
   };
+
+  static constexpr uint16_t kNoSlot = UINT16_MAX;
 
   // Issues one request: writes the slot, submits the chain, rings the bell.
   void Issue(FileRequestHeader header, std::vector<uint8_t> payload, Pending pending);
   // Flushes every staged request as one DmaWritev + one doorbell.
   void FlushBatch();
-  // Runs once the DMA carrying `requests` into their slots completes, with or
-  // without a batch window: fails each request when the session is gone or
+  // Runs once the DMA carrying the requests in `slots` completes, with or
+  // without a batch window: fails each request when its session is gone or
   // the write faulted, else submits its chain and files it in flight, then
   // rings the provider once.
-  void SubmitWritten(const Status& wrote, std::span<Request> requests);
+  void SubmitWritten(const Status& wrote, std::span<const uint16_t> slots);
   // Arms the completion-poll backstop daemon for the current session.
   void StartCompletionPoll();
   void DrainCompletions();
-  void CompleteOne(uint16_t head, Pending pending);
+  void CompleteOne(uint16_t slot);
   void Fail(Pending& pending, Status status);
-  // Returns a slot to the free pool and fires the availability callback.
+  // Takes the waiter out of a slot and marks the slot free.
+  Pending TakePending(uint16_t slot);
+  // Puts a freed slot back on the free list when a session is open and the
+  // slot lies within its depth.
+  void FreeSlot(uint16_t slot);
+  // FreeSlot, then fires the availability callback.
   void ReleaseSlot(uint16_t slot);
+  // Releases a slot, then fails the request it held.
+  void FailSlot(uint16_t slot, Status status);
 
   dev::Device* host_;
   Pasid pasid_;
@@ -163,12 +176,14 @@ class FileClient {
   uint16_t depth_ = 0;
   std::optional<SessionLayout> layout_;
   std::unique_ptr<virtio::VirtqueueDriver> queue_;
+  // Bumped by each Open; a slot records the session that claimed it.
+  uint64_t session_ = 0;
+  std::vector<Slot> slots_;
   std::vector<uint16_t> free_slots_;
-  // In-flight requests keyed by chain head descriptor index. Heads are
-  // small dense integers (bounded by the queue's descriptor table), so a
-  // flat slot table replaces the rb-tree map — no node allocation and no
-  // ordered walk per request.
-  std::vector<std::optional<Pending>> in_flight_;
+  // The slot of each submitted request, by its chain's head descriptor
+  // index (kNoSlot when none). Heads are small dense integers, so a flat
+  // table serves: no node allocation and no ordered walk per request.
+  std::vector<uint16_t> head_slots_;
   size_t in_flight_count_ = 0;
   std::vector<Staged> staged_;             // awaiting the next batch flush
   // Armed while a batch flush is pending; cancelled when the batch aborts.

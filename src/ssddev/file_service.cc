@@ -170,7 +170,7 @@ void FileService::DrainSession(InstanceId instance) {
     return;
   }
   ++session->in_flight;
-  ServeChain(instance, **chain);
+  ServeChain(instance, **std::move(chain));
   // Keep pulling while there may be more work and budget.
   if (session->in_flight < config_.max_in_flight) {
     ScheduleDrain(instance);
@@ -250,40 +250,42 @@ void FileService::ServeChain(InstanceId instance, virtio::Chain chain) {
                       response_slot);
         return;
       }
-      // Pull the payload from the request slot (bulk DMA).
+      // Pull the payload from the request slot (bulk DMA). The file name is
+      // captured as an owned string, so the completion stays inline.
       bool is_append = header->op == FileOp::kAppend;
       uint64_t offset = header->offset;
-      host_->fabric()->DmaRead(
-          host_->id(), session->pasid, request_slot + FileRequestHeader::kWireBytes,
-          header->length,
-          [this, instance, head, response_slot, file, offset,
-           is_append](Result<std::vector<uint8_t>> payload) {
-            if (!payload.ok()) {
-              CompleteChain(instance, head,
-                            FileResponseHeader{payload.status().code(), 0, 0}, {}, response_slot);
-              return;
-            }
-            if (is_append) {
-              fs_->Append(file, *std::move(payload),
-                          [this, instance, head, response_slot](Result<uint64_t> at) {
-                            if (!at.ok()) {
-                              CompleteChain(instance, head,
-                                            FileResponseHeader{at.status().code(), 0, 0}, {},
-                                            response_slot);
-                              return;
-                            }
-                            CompleteChain(instance, head,
-                                          FileResponseHeader{StatusCode::kOk, 0, *at}, {},
-                                          response_slot);
-                          });
-              return;
-            }
-            fs_->Write(file, offset, *std::move(payload),
-                       [this, instance, head, response_slot](Status s) {
-                         CompleteChain(instance, head, FileResponseHeader{s.code(), 0, 0}, {},
-                                       response_slot);
-                       });
-          });
+      auto land = [this, instance, head, response_slot, file = std::string(file), offset,
+                   is_append](Result<std::vector<uint8_t>> payload) {
+        if (!payload.ok()) {
+          CompleteChain(instance, head, FileResponseHeader{payload.status().code(), 0, 0}, {},
+                        response_slot);
+          return;
+        }
+        if (is_append) {
+          fs_->Append(file, *std::move(payload),
+                      [this, instance, head, response_slot](Result<uint64_t> at) {
+                        if (!at.ok()) {
+                          CompleteChain(instance, head,
+                                        FileResponseHeader{at.status().code(), 0, 0}, {},
+                                        response_slot);
+                          return;
+                        }
+                        CompleteChain(instance, head, FileResponseHeader{StatusCode::kOk, 0, *at},
+                                      {}, response_slot);
+                      });
+          return;
+        }
+        fs_->Write(file, offset, *std::move(payload),
+                   [this, instance, head, response_slot](Status s) {
+                     CompleteChain(instance, head, FileResponseHeader{s.code(), 0, 0}, {},
+                                   response_slot);
+                   });
+      };
+      static_assert(fabric::Fabric::DmaReadCallback::StoresInline<decltype(land)>(),
+                    "payload read must stay inline");
+      host_->fabric()->DmaRead(host_->id(), session->pasid,
+                               request_slot + FileRequestHeader::kWireBytes, header->length,
+                               std::move(land));
       return;
     }
     case FileOp::kStat: {

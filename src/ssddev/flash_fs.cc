@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <utility>
 
@@ -63,6 +64,10 @@ Status FlashFs::Delete(const std::string& name) {
   std::vector<uint64_t> lpns = std::move(it->second.lpns);
   uint32_t id = it->second.id;
   files_.erase(it);
+  auto queue = write_queues_.find(name);
+  if (queue != write_queues_.end() && !queue->second.active) {
+    write_queues_.erase(queue);  // idle, so empty: a running one goes once it drains
+  }
   for (uint64_t lpn : lpns) {
     ftl_->Trim(lpn);
   }
@@ -172,108 +177,113 @@ void FlashFs::Write(const std::string& name, uint64_t offset, std::vector<uint8_
 }
 
 void FlashFs::EnqueueWrite(const std::string& name, QueuedWrite queued) {
-  write_queues_[name].push_back(std::move(queued));
-  if (!write_active_.contains(name)) {
-    PumpWrites(name);
+  auto queue = write_queues_.try_emplace(name).first;
+  WriteQueue& q = queue->second;
+  if (q.spare.empty()) {
+    q.writes.push_back(std::move(queued));
+  } else {
+    q.writes.splice(q.writes.end(), q.spare, q.spare.begin());
+    q.writes.back() = std::move(queued);
+  }
+  if (!q.active) {
+    PumpWrites(queue);
   }
 }
 
-void FlashFs::PumpWrites(const std::string& name) {
-  auto it = write_queues_.find(name);
-  if (it == write_queues_.end() || it->second.empty()) {
-    if (it != write_queues_.end()) {
-      write_queues_.erase(it);
+void FlashFs::PumpWrites(WriteQueues::iterator queue) {
+  if (queue->second.writes.empty()) {
+    if (!files_.contains(queue->first)) {
+      write_queues_.erase(queue);
     }
     return;
   }
-  QueuedWrite next = std::move(it->second.front());
-  it->second.pop_front();
-  write_active_.insert(name);
-  if (next.kind == QueuedWrite::Kind::kBarrier) {
-    ftl_->SyncMeta([this, name](Status) {
+  queue->second.active = true;
+  if (queue->second.writes.front().kind == QueuedWrite::Kind::kBarrier) {
+    ftl_->SyncMeta([this, queue](Status) {
       // Even a failed sync releases the queue; the writes behind it will
       // surface their own errors (or succeed un-journaled and be reclaimed
       // as orphans at the next recovery).
-      write_active_.erase(name);
-      PumpWrites(name);
+      FinishWrite(queue, OkStatus());
     });
     return;
   }
-  WritePages(name, next.offset, std::move(next.data), 0,
-             [this, name, done = std::move(next.done)](Status s) mutable {
-               done(s);
-               write_active_.erase(name);
-               PumpWrites(name);
-             });
+  WritePages(queue, 0);
 }
 
-void FlashFs::WritePages(const std::string& name, uint64_t offset, std::vector<uint8_t> data,
-                         size_t page_index, WriteCallback done) {
-  auto file_it = files_.find(name);
+void FlashFs::FinishWrite(WriteQueues::iterator queue, Status status) {
+  WriteQueue& q = queue->second;
+  QueuedWrite finished = std::move(q.writes.front());
+  q.spare.splice(q.spare.begin(), q.writes, q.writes.begin());
+  if (finished.done != nullptr) {  // barriers have none
+    finished.done(status);
+  }
+  q.active = false;
+  PumpWrites(queue);
+}
+
+void FlashFs::WritePages(WriteQueues::iterator queue, size_t page_index) {
+  auto file_it = files_.find(queue->first);
   if (file_it == files_.end()) {
-    done(Aborted("file deleted during write"));
+    FinishWrite(queue, Aborted("file deleted during write"));
     return;
   }
-  Inode* inode = &file_it->second;
+  const Inode& inode = file_it->second;
+  const QueuedWrite& write = queue->second.writes.front();
   uint64_t page_bytes = ftl_->page_bytes();
-  uint64_t first_page = offset / page_bytes;
-  uint64_t last_page = (offset + data.size() - 1) / page_bytes;
+  uint64_t first_page = write.offset / page_bytes;
+  uint64_t last_page = (write.offset + write.data.size() - 1) / page_bytes;
   if (first_page + page_index > last_page) {
-    done(OkStatus());
+    FinishWrite(queue, OkStatus());
     return;
   }
   uint64_t page = first_page + page_index;
   uint64_t page_start = page * page_bytes;
-  uint64_t slice_begin = std::max(offset, page_start);
-  uint64_t slice_end = std::min(offset + data.size(), page_start + page_bytes);
-  uint64_t lpn = inode->lpns[page];
+  uint64_t slice_begin = std::max(write.offset, page_start);
+  uint64_t slice_end = std::min(write.offset + write.data.size(), page_start + page_bytes);
+  uint64_t lpn = inode.lpns[page];
   // Journal the file identity with the page, and the file size this page
   // makes durable once it is on media.
-  Ftl::FileTag tag{inode->id, static_cast<uint32_t>(page),
-                   std::max(inode->durable_size, slice_end)};
-
-  // Move-only callbacks let the remaining data and the continuation transfer
-  // straight through the FTL completion — no shared_ptr boxing.
-  auto write_page = [this, name, offset, lpn, tag, page_index,
-                     slice_begin, slice_end, page_start](std::vector<uint8_t> page_data,
-                                                         std::vector<uint8_t> all_data,
-                                                         WriteCallback cb) mutable {
-    page_data.resize(ftl_->page_bytes(), 0);
-    std::memcpy(page_data.data() + (slice_begin - page_start),
-                all_data.data() + (slice_begin - offset), slice_end - slice_begin);
-    ftl_->Write(lpn, std::move(page_data), tag,
-                [this, name, offset, page_index, all = std::move(all_data),
-                 next = std::move(cb)](Status s) mutable {
-                  if (!s.ok()) {
-                    next(s);
-                    return;
-                  }
-                  // This page is durable; advance the acked prefix.
-                  auto it = files_.find(name);
-                  if (it != files_.end()) {
-                    uint64_t pb = ftl_->page_bytes();
-                    uint64_t p = offset / pb + page_index;
-                    uint64_t durable_end = std::min(offset + all.size(), (p + 1) * pb);
-                    it->second.durable_size = std::max(it->second.durable_size, durable_end);
-                  }
-                  WritePages(name, offset, std::move(all), page_index + 1, std::move(next));
-                });
-  };
+  Ftl::FileTag tag{inode.id, static_cast<uint32_t>(page),
+                   std::max(inode.durable_size, slice_end)};
 
   bool full_page = slice_begin == page_start && slice_end == page_start + page_bytes;
   if (full_page || !ftl_->IsMapped(lpn)) {
     // Fresh or fully-covered page: no read-modify-write needed.
-    write_page(std::vector<uint8_t>(), std::move(data), std::move(done));
+    WritePage(queue, page_index, lpn, tag, {});
     return;
   }
   // Partial overwrite of existing data: read-modify-write.
-  ftl_->Read(lpn, [write_page = std::move(write_page), data = std::move(data),
-                   done = std::move(done)](Result<std::span<const uint8_t>> existing) mutable {
+  ftl_->Read(lpn, [this, queue, page_index, lpn,
+                   tag](Result<std::span<const uint8_t>> existing) {
     std::vector<uint8_t> base;
     if (existing.ok()) {
       base.assign(existing->begin(), existing->end());
     }
-    write_page(std::move(base), std::move(data), std::move(done));
+    WritePage(queue, page_index, lpn, tag, std::move(base));
+  });
+}
+
+void FlashFs::WritePage(WriteQueues::iterator queue, size_t page_index, uint64_t lpn,
+                        Ftl::FileTag tag, std::vector<uint8_t> page) {
+  const QueuedWrite& write = queue->second.writes.front();
+  uint64_t page_bytes = ftl_->page_bytes();
+  uint64_t page_start = (write.offset / page_bytes + page_index) * page_bytes;
+  uint64_t slice_begin = std::max(write.offset, page_start);
+  uint64_t slice_end = std::min(write.offset + write.data.size(), page_start + page_bytes);
+  page.resize(page_bytes, 0);
+  std::memcpy(page.data() + (slice_begin - page_start),
+              write.data.data() + (slice_begin - write.offset), slice_end - slice_begin);
+  ftl_->Write(lpn, std::move(page), tag, [this, queue, page_index, slice_end](Status s) {
+    if (!s.ok()) {
+      FinishWrite(queue, s);
+      return;
+    }
+    // This page is durable; advance the acked prefix.
+    auto it = files_.find(queue->first);
+    if (it != files_.end()) {
+      it->second.durable_size = std::max(it->second.durable_size, slice_end);
+    }
+    WritePages(queue, page_index + 1);
   });
 }
 
@@ -286,13 +296,15 @@ void FlashFs::Append(const std::string& name, std::vector<uint8_t> data,
     return;
   }
   uint64_t offset = it->second.size;
-  Write(name, offset, std::move(data), [offset, done = std::move(done)](Status s) {
+  auto land = [offset, done = std::move(done)](Status s) {
     if (!s.ok()) {
       done(s);
       return;
     }
     done(offset);
-  });
+  };
+  static_assert(WriteCallback::StoresInline<decltype(land)>(), "append must stay inline");
+  Write(name, offset, std::move(data), std::move(land));
 }
 
 void FlashFs::Read(const std::string& name, uint64_t offset, uint64_t length, ReadCallback done) {
@@ -315,31 +327,31 @@ void FlashFs::Read(const std::string& name, uint64_t offset, uint64_t length, Re
     // Single-page read — the common case for record-sized IO. No assembly
     // buffer, no per-page recursion; the completion re-checks existence so a
     // file deleted mid-read still reports Aborted, exactly like the chain.
-    // The capture is sized to the FTL callback's inline budget.
     uint64_t page_start = first_page * page_bytes;
-    ftl_->Read(inode.lpns[first_page],
-               [this, fname = std::string(name), offset, end, page_start,
-                next = std::move(done)](Result<std::span<const uint8_t>> page) mutable {
-                 if (!page.ok() && page.status().code() != StatusCode::kNotFound) {
-                   // Real media error: surface it. (NotFound = sparse hole.)
-                   next(page.status());
-                   return;
-                 }
-                 if (!files_.contains(fname)) {
-                   next(Aborted("file deleted during read"));
-                   return;
-                 }
-                 std::vector<uint8_t> out(end - offset, 0);
-                 if (page.ok()) {
-                   std::span<const uint8_t> bytes = *page;
-                   uint64_t src_off = offset - page_start;
-                   if (src_off < bytes.size()) {
-                     uint64_t n = std::min<uint64_t>(out.size(), bytes.size() - src_off);
-                     std::memcpy(out.data(), bytes.data() + src_off, n);
-                   }
-                 }
-                 next(std::move(out));
-               });
+    auto land = [this, fname = std::string(name), offset, end, page_start,
+                 next = std::move(done)](Result<std::span<const uint8_t>> page) mutable {
+      if (!page.ok() && page.status().code() != StatusCode::kNotFound) {
+        // Real media error: surface it. (NotFound = sparse hole.)
+        next(page.status());
+        return;
+      }
+      if (!files_.contains(fname)) {
+        next(Aborted("file deleted during read"));
+        return;
+      }
+      std::vector<uint8_t> out(end - offset, 0);
+      if (page.ok()) {
+        std::span<const uint8_t> bytes = *page;
+        uint64_t src_off = offset - page_start;
+        if (src_off < bytes.size()) {
+          uint64_t n = std::min<uint64_t>(out.size(), bytes.size() - src_off);
+          std::memcpy(out.data(), bytes.data() + src_off, n);
+        }
+      }
+      next(std::move(out));
+    };
+    static_assert(Ftl::ReadCallback::StoresInline<decltype(land)>(), "read must stay inline");
+    ftl_->Read(inode.lpns[first_page], std::move(land));
     return;
   }
   auto out = std::make_shared<std::vector<uint8_t>>(end - offset, 0);
@@ -389,16 +401,21 @@ void FlashFs::ReadPages(const std::string& name, uint64_t offset, uint64_t lengt
 
 void FlashFs::PowerCut() {
   Status why = Unavailable("ssd power loss");
-  std::map<std::string, std::deque<QueuedWrite>> queues = std::move(write_queues_);
-  write_queues_.clear();
-  for (auto& [name, queue] : queues) {
-    for (QueuedWrite& w : queue) {
-      if (w.done != nullptr) {
-        w.done(why);
-      }
+  // Every waiting write fails now, in name then queue order. A running write
+  // keeps its queue until the FTL fails its pending op.
+  std::vector<QueuedWrite> doomed;
+  for (auto it = write_queues_.begin(); it != write_queues_.end();) {
+    std::list<QueuedWrite>& writes = it->second.writes;
+    auto waiting = std::next(writes.begin(), it->second.active ? 1 : 0);
+    std::move(waiting, writes.end(), std::back_inserter(doomed));
+    writes.erase(waiting, writes.end());
+    it = it->second.active ? std::next(it) : write_queues_.erase(it);
+  }
+  for (QueuedWrite& w : doomed) {
+    if (w.done != nullptr) {
+      w.done(why);
     }
   }
-  write_active_.clear();
   files_.clear();
   free_lpns_.clear();
   next_lpn_ = 0;

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <set>
@@ -59,7 +60,9 @@ struct FileInfo {
 class FlashFs {
  public:
   using ReadCallback = sim::MoveFn<void(Result<std::vector<uint8_t>>), 160>;
-  using WriteCallback = sim::MoveFn<void(Status), 160>;
+  // 192-byte tier: Append's completion (an offset plus a 160-tier callback)
+  // stays inline.
+  using WriteCallback = sim::MoveFn<void(Status), 192>;
 
   explicit FlashFs(Ftl* ftl);
 
@@ -124,28 +127,45 @@ class FlashFs {
     std::vector<uint8_t> data;
     WriteCallback done;
   };
+  // One file's queue. While `active`, the front write runs and keeps its
+  // bytes and completion here, so the FTL completions on its way capture
+  // only the queue. Finished entries wait in `spare` for the next write, so
+  // a steady stream of writes allocates no queue storage. A file keeps its
+  // queue from its first write until it is deleted; a queue whose file is
+  // gone goes once it drains.
+  struct WriteQueue {
+    std::list<QueuedWrite> writes;
+    std::list<QueuedWrite> spare;
+    bool active = false;
+  };
+  using WriteQueues = std::map<std::string, WriteQueue>;
 
   Result<uint64_t> AllocLpn();
   // Ensures the inode has backing pages through byte `end`.
   Status EnsureCapacity(Inode& inode, uint64_t end);
 
-  // Sequential page-by-page writer shared by Write/Append. Looks the inode
-  // up by name at every step so mid-flight deletion aborts cleanly.
-  void WritePages(const std::string& name, uint64_t offset, std::vector<uint8_t> data,
-                  size_t page_index, WriteCallback done);
+  // Sequential page-by-page writer of a queue's front write, shared by
+  // Write/Append. Looks the inode up by name at every step so mid-flight
+  // deletion aborts cleanly.
+  void WritePages(WriteQueues::iterator queue, size_t page_index);
+  // Merges the front write's slice of page `page_index` into `page` (empty,
+  // or the page's current bytes) and writes it to `lpn`.
+  void WritePage(WriteQueues::iterator queue, size_t page_index, uint64_t lpn, Ftl::FileTag tag,
+                 std::vector<uint8_t> page);
+  // Completes the front write and starts the next one.
+  void FinishWrite(WriteQueues::iterator queue, Status status);
   void ReadPages(const std::string& name, uint64_t offset, uint64_t length,
                  std::shared_ptr<std::vector<uint8_t>> out, size_t page_index, ReadCallback done);
 
   void EnqueueWrite(const std::string& name, QueuedWrite queued);
-  void PumpWrites(const std::string& name);
+  void PumpWrites(WriteQueues::iterator queue);
 
   Ftl* ftl_;
   std::map<std::string, Inode> files_;
   std::deque<uint64_t> free_lpns_;
   uint64_t next_lpn_ = 0;
   uint32_t next_file_id_ = 1;
-  std::map<std::string, std::deque<QueuedWrite>> write_queues_;
-  std::set<std::string> write_active_;
+  WriteQueues write_queues_;
 };
 
 }  // namespace lastcpu::ssddev

@@ -1,6 +1,7 @@
 #include "src/ssddev/ftl.h"
 
 #include <algorithm>
+#include <iterator>
 #include <unordered_map>
 #include <utility>
 
@@ -125,14 +126,14 @@ void Ftl::InitVolatile() {
   }
   next_die_ = 0;
   gc_in_progress_ = false;
-  gates_.clear();
+  write_gate_.assign(logical_pages_, false);
+  gate_queues_.clear();
   stalled_.clear();
   meta_buffer_.clear();
   meta_buffer_bytes_ = 0;
   meta_flush_in_flight_ = false;
   meta_flush_stalled_ = false;
-  cache_lru_.clear();
-  cache_index_.clear();
+  CacheClear();
 }
 
 bool Ftl::IsMapped(uint64_t lpn) const {
@@ -146,25 +147,9 @@ double Ftl::WriteAmplification() const {
   return static_cast<double>(nand_writes_) / static_cast<double>(host_writes_);
 }
 
-std::optional<Ftl::ReadCallback> Ftl::TakeRead(uint64_t op) {
-  auto it = pending_reads_.find(op);
-  if (it == pending_reads_.end()) {
-    return std::nullopt;
-  }
-  ReadCallback cb = std::move(it->second);
-  pending_reads_.erase(it);
-  return cb;
-}
+std::optional<Ftl::ReadCallback> Ftl::TakeRead(uint64_t op) { return pending_reads_.Take(op); }
 
-std::optional<Ftl::WriteCallback> Ftl::TakeWrite(uint64_t op) {
-  auto it = pending_writes_.find(op);
-  if (it == pending_writes_.end()) {
-    return std::nullopt;
-  }
-  WriteCallback cb = std::move(it->second);
-  pending_writes_.erase(it);
-  return cb;
-}
+std::optional<Ftl::WriteCallback> Ftl::TakeWrite(uint64_t op) { return pending_writes_.Take(op); }
 
 void Ftl::FailWriteSoon(uint64_t op, Status status) {
   simulator_->Schedule(sim::Duration::Nanos(100), [this, op, status = std::move(status)] {
@@ -174,16 +159,16 @@ void Ftl::FailWriteSoon(uint64_t op, Status status) {
   });
 }
 
-Ftl::CachedPage Ftl::CacheLookup(uint64_t lpn) {
-  auto it = cache_index_.find(lpn);
-  if (it == cache_index_.end()) {
+const PageData* Ftl::CacheLookup(uint64_t lpn) {
+  auto it = cache_index_[lpn];
+  if (it == cache_lru_.end()) {
     return nullptr;
   }
-  cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
-  return it->second->second;
+  cache_lru_.splice(cache_lru_.begin(), cache_lru_, it);
+  return &it->second;
 }
 
-void Ftl::CacheInsert(uint64_t lpn, uint32_t epoch, CachedPage data) {
+void Ftl::CacheInsert(uint64_t lpn, uint32_t epoch, const PageData& data) {
   if (config_.read_cache_pages == 0) {
     return;
   }
@@ -191,26 +176,38 @@ void Ftl::CacheInsert(uint64_t lpn, uint32_t epoch, CachedPage data) {
     stats_.GetCounter("cache_stale_fills_dropped").Increment();
     return;  // a write raced this fill; its data is stale
   }
-  auto it = cache_index_.find(lpn);
-  if (it != cache_index_.end()) {
-    it->second->second = std::move(data);
-    cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
+  auto it = cache_index_[lpn];
+  if (it != cache_lru_.end()) {
+    it->second = data;
+    cache_lru_.splice(cache_lru_.begin(), cache_lru_, it);
     return;
   }
-  cache_lru_.emplace_front(lpn, std::move(data));
-  cache_index_[lpn] = cache_lru_.begin();
-  while (cache_lru_.size() > config_.read_cache_pages) {
-    cache_index_.erase(cache_lru_.back().first);
-    cache_lru_.pop_back();
+  if (!cache_spare_.empty()) {
+    cache_lru_.splice(cache_lru_.begin(), cache_spare_, cache_spare_.begin());
+  } else if (cache_lru_.size() < config_.read_cache_pages) {
+    cache_lru_.emplace_front();
+  } else {
+    // Full: evict the least recent page and reuse its entry.
+    cache_index_[cache_lru_.back().first] = cache_lru_.end();
+    cache_lru_.splice(cache_lru_.begin(), cache_lru_, std::prev(cache_lru_.end()));
   }
+  cache_lru_.front() = {lpn, data};
+  cache_index_[lpn] = cache_lru_.begin();
 }
 
 void Ftl::CacheInvalidate(uint64_t lpn) {
-  auto it = cache_index_.find(lpn);
-  if (it != cache_index_.end()) {
-    cache_lru_.erase(it->second);
-    cache_index_.erase(it);
+  auto it = cache_index_[lpn];
+  if (it != cache_lru_.end()) {
+    it->second = PageData();  // let go of the page now
+    cache_spare_.splice(cache_spare_.begin(), cache_lru_, it);
+    cache_index_[lpn] = cache_lru_.end();
   }
+}
+
+void Ftl::CacheClear() {
+  cache_lru_.clear();
+  cache_spare_.clear();
+  cache_index_.assign(logical_pages_, cache_lru_.end());
 }
 
 void Ftl::Read(uint64_t lpn, ReadCallback done) {
@@ -228,7 +225,7 @@ void Ftl::Read(uint64_t lpn, ReadCallback done) {
     return;
   }
   uint64_t op = next_op_++;
-  pending_reads_.emplace(op, std::move(done));
+  pending_reads_.Add(op, std::move(done));
   if (!mapping_[lpn].has_value()) {
     simulator_->Schedule(sim::Duration::Nanos(100), [this, op] {
       if (auto cb = TakeRead(op)) {
@@ -241,30 +238,30 @@ void Ftl::Read(uint64_t lpn, ReadCallback done) {
   // Device-DRAM read cache: hot pages skip the NAND dies entirely. The hit
   // hands the caller a view of the shared page — no copy; the captured
   // reference keeps the page alive even if it is evicted before delivery.
-  if (CachedPage cached = CacheLookup(lpn)) {
+  if (const PageData* cached = CacheLookup(lpn)) {
     ++cache_hits_;
     cache_hits_stat_.Increment();
-    simulator_->Schedule(config_.read_cache_latency, [this, op, cached = std::move(cached)] {
+    simulator_->Schedule(config_.read_cache_latency, [this, op, page = *cached] {
       if (auto cb = TakeRead(op)) {
-        (*cb)(std::span<const uint8_t>(*cached));
+        (*cb)(std::span<const uint8_t>(page.bytes()));
       }
     });
     return;
   }
   ++cache_misses_;
   uint32_t epoch = write_epoch_[lpn];
-  nand_->ReadPage(*mapping_[lpn], [this, lpn, epoch, op](Result<std::vector<uint8_t>> data) {
+  nand_->ReadPage(*mapping_[lpn], [this, lpn, epoch, op](Result<PageData> page) {
     auto cb = TakeRead(op);
     if (!cb.has_value()) {
       return;  // the op was failed by a power cut before media answered
     }
-    if (!data.ok()) {
-      (*cb)(data.status());
+    if (!page.ok()) {
+      (*cb)(page.status());
       return;
     }
-    auto page = std::make_shared<const std::vector<uint8_t>>(*std::move(data));
-    CacheInsert(lpn, epoch, page);
-    (*cb)(std::span<const uint8_t>(*page));
+    // The cache keeps the NAND's own buffer, which this read also hands out.
+    CacheInsert(lpn, epoch, *page);
+    (*cb)(std::span<const uint8_t>(page->bytes()));
   });
 }
 
@@ -350,15 +347,14 @@ void Ftl::Write(uint64_t lpn, std::vector<uint8_t> data, FileTag tag, WriteCallb
     return;
   }
   uint64_t op = next_op_++;
-  pending_writes_.emplace(op, std::move(done));
-  LpnGate& gate = gates_[lpn];
-  if (gate.write_in_flight) {
+  pending_writes_.Add(op, std::move(done));
+  if (write_gate_[lpn]) {
     // A write to this lpn is already on media. Its OOB sequence number must
     // stay below ours, so we queue behind it instead of racing it to a die.
-    gate.queue.push_back(QueuedOp{false, std::move(data), tag, op});
+    gate_queues_[lpn].push_back(QueuedOp{false, std::move(data), tag, op});
     return;
   }
-  gate.write_in_flight = true;
+  write_gate_[lpn] = true;
   StartWrite(lpn, std::move(data), tag, op);
 }
 
@@ -418,24 +414,26 @@ void Ftl::StartWrite(uint64_t lpn, std::vector<uint8_t> data, FileTag tag, uint6
 }
 
 void Ftl::FinishLpnOp(uint64_t lpn) {
-  if (powered_off_) {
+  if (powered_off_ || !write_gate_[lpn]) {
     return;
   }
-  auto it = gates_.find(lpn);
-  if (it == gates_.end()) {
+  auto it = gate_queues_.find(lpn);
+  if (it == gate_queues_.end()) {
+    write_gate_[lpn] = false;
     return;
   }
-  LpnGate& gate = it->second;
-  while (!gate.queue.empty() && gate.queue.front().is_trim) {
-    gate.queue.pop_front();
+  std::deque<QueuedOp>& queue = it->second;
+  while (!queue.empty() && queue.front().is_trim) {
+    queue.pop_front();
     ApplyTrim(lpn);
   }
-  if (gate.queue.empty()) {
-    gates_.erase(it);
+  if (queue.empty()) {
+    gate_queues_.erase(it);
+    write_gate_[lpn] = false;
     return;
   }
-  QueuedOp next = std::move(gate.queue.front());
-  gate.queue.pop_front();
+  QueuedOp next = std::move(queue.front());
+  queue.pop_front();
   StartWrite(lpn, std::move(next.data), next.tag, next.op);
 }
 
@@ -443,12 +441,11 @@ void Ftl::Trim(uint64_t lpn) {
   if (powered_off_ || lpn >= logical_pages_) {
     return;
   }
-  auto it = gates_.find(lpn);
-  if (it != gates_.end()) {
+  if (write_gate_[lpn]) {
     // A write to this lpn is in flight; applying the trim now would journal
     // a tombstone that the in-flight write's lower sequence number cannot
     // beat at recovery. Queue it behind the write instead.
-    it->second.queue.push_back(QueuedOp{true, {}, {}, 0});
+    gate_queues_[lpn].push_back(QueuedOp{true, {}, {}, 0});
     return;
   }
   ApplyTrim(lpn);
@@ -705,7 +702,7 @@ void Ftl::RelocateNext(uint32_t die, uint32_t block, std::vector<uint32_t> pages
   }
   uint64_t lpn = static_cast<uint64_t>(entry);
   LASTCPU_CHECK(mapping_[lpn].has_value() && *mapping_[lpn] == source, "reverse map out of sync");
-  if (gates_.find(lpn) != gates_.end()) {
+  if (write_gate_[lpn]) {
     // A host write/trim to this lpn is in flight or queued. Relocating now
     // would give the OLD data a NEWER media sequence number than the host
     // write gets — recovery would resurrect the stale value. Skip the page;
@@ -718,7 +715,7 @@ void Ftl::RelocateNext(uint32_t die, uint32_t block, std::vector<uint32_t> pages
   // exactly like the original would have.
   OobTag old_tag = nand_->OobOf(source);
   nand_->ReadPage(source, [this, die, block, pages = std::move(pages), index, lpn, source,
-                           old_tag](Result<std::vector<uint8_t>> data) mutable {
+                           old_tag](Result<PageData> data) mutable {
     if (powered_off_) {
       return;
     }
@@ -746,6 +743,7 @@ void Ftl::RelocateNext(uint32_t die, uint32_t block, std::vector<uint32_t> pages
     uint64_t seq = seq_++;
     OobTag oob{OobTag::Kind::kData, seq, lpn, old_tag.file_id, old_tag.file_page,
                old_tag.size_after};
+    // The relocated copy shares the source page's buffer.
     nand_->ProgramPage(
         target, *std::move(data), oob,
         [this, die, block, pages = std::move(pages), index, lpn, source, target,
@@ -765,7 +763,7 @@ void Ftl::RelocateNext(uint32_t die, uint32_t block, std::vector<uint32_t> pages
 void Ftl::RelocateMetaPage(uint32_t die, uint32_t block, std::vector<uint32_t> pages,
                            size_t index, Ppa source) {
   nand_->ReadPage(source, [this, die, block, pages = std::move(pages), index,
-                           source](Result<std::vector<uint8_t>> data) mutable {
+                           source](Result<PageData> data) mutable {
     if (powered_off_) {
       return;
     }
@@ -782,7 +780,7 @@ void Ftl::RelocateMetaPage(uint32_t die, uint32_t block, std::vector<uint32_t> p
     // sequence number. Filesystem records are kept verbatim — their
     // lifetime is the filesystem's business, not the FTL's.
     std::vector<MetaRecord> keep;
-    for (MetaRecord& record : DecodeMetaPage(*data)) {
+    for (MetaRecord& record : DecodeMetaPage(data->bytes())) {
       if (record.kind == MetaRecord::Kind::kTrim && record.lpn < logical_pages_ &&
           mapping_[record.lpn].has_value() && mapping_seq_[record.lpn] > record.seq) {
         continue;
@@ -880,10 +878,8 @@ void Ftl::PowerCut() {
   // already-scheduled NAND completion is dropped (that silicon lost power).
   nand_->PowerCut();
   Status why = Unavailable("ssd power loss");
-  std::map<uint64_t, ReadCallback> reads = std::move(pending_reads_);
-  pending_reads_.clear();
-  std::map<uint64_t, WriteCallback> writes = std::move(pending_writes_);
-  pending_writes_.clear();
+  std::map<uint64_t, ReadCallback> reads = pending_reads_.TakeAll();
+  std::map<uint64_t, WriteCallback> writes = pending_writes_.TakeAll();
   for (auto& [op, cb] : reads) {
     cb(why);
   }
@@ -899,15 +895,15 @@ void Ftl::PowerCut() {
   for (auto& waiter : waiters) {
     waiter(why);
   }
-  gates_.clear();
+  write_gate_.assign(logical_pages_, false);
+  gate_queues_.clear();
   stalled_.clear();
   meta_buffer_.clear();
   meta_buffer_bytes_ = 0;
   meta_flush_in_flight_ = false;
   meta_flush_stalled_ = false;
   gc_in_progress_ = false;
-  cache_lru_.clear();
-  cache_index_.clear();
+  CacheClear();
 }
 
 void Ftl::Recover() {

@@ -25,11 +25,9 @@
 #include <functional>
 #include <list>
 #include <map>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -88,16 +86,16 @@ struct RecoveredFilePage {
 class Ftl {
  public:
   // Reads complete with a view of the page, not an owned copy: the bytes are
-  // valid only for the duration of the callback (they belong to the device
-  // read cache or to the NAND completion). Callers that need data past the
-  // callback copy the slice they want — which every caller does anyway, and
-  // the common cache-hit path stops paying a full-page copy.
-  // 232-byte tier, sized from both ends: wide enough that a filesystem
-  // continuation capturing one 160-tier completion plus a name and offsets
-  // (~232 bytes) stays inline, and narrow enough that this callback plus a
-  // cached-page reference still fits an EventFn's 256-byte buffer exactly.
-  using ReadCallback = sim::MoveFn<void(Result<std::span<const uint8_t>>), 232>;
-  using WriteCallback = sim::MoveFn<void(Status), 232>;
+  // valid only for the duration of the callback (they are the NAND's own
+  // page buffer, which the read cache shares). Callers that need data past
+  // the callback copy the slice they want — which every caller does anyway,
+  // so no read path pays a full-page copy.
+  // 240-byte tier, sized from both ends: wide enough that a filesystem read
+  // continuation capturing one 160-tier completion plus a name and three
+  // offsets (240 bytes) stays inline, and narrow enough that this callback
+  // alone still fits an EventFn's 256-byte buffer exactly.
+  using ReadCallback = sim::MoveFn<void(Result<std::span<const uint8_t>>), 240>;
+  using WriteCallback = sim::MoveFn<void(Status), 240>;
 
   // Filesystem identity journaled with a data page (all-zero = anonymous).
   struct FileTag {
@@ -189,9 +187,41 @@ class Ftl {
     FileTag tag;
     uint64_t op = 0;
   };
-  struct LpnGate {
-    bool write_in_flight = false;
-    std::deque<QueuedOp> queue;
+
+  // Completions of in-flight host ops by ascending op id, so a power cut
+  // fails them in issue order. Finished ops' map nodes are kept for the
+  // next ones: filing an op allocates nothing in steady state.
+  template <typename Callback>
+  class PendingOps {
+   public:
+    void Add(uint64_t op, Callback done) {
+      if (spare_.empty()) {
+        ops_.emplace_hint(ops_.end(), op, std::move(done));
+        return;
+      }
+      auto node = std::move(spare_.back());
+      spare_.pop_back();
+      node.key() = op;
+      node.mapped() = std::move(done);
+      // Op ids only grow, so the new op goes last.
+      ops_.insert(ops_.end(), std::move(node));
+    }
+    std::optional<Callback> Take(uint64_t op) {
+      auto it = ops_.find(op);
+      if (it == ops_.end()) {
+        return std::nullopt;
+      }
+      auto node = ops_.extract(it);
+      std::optional<Callback> done(std::move(node.mapped()));
+      spare_.push_back(std::move(node));
+      return done;
+    }
+    // Removes every op, in ascending id order.
+    std::map<uint64_t, Callback> TakeAll() { return std::exchange(ops_, {}); }
+
+   private:
+    std::map<uint64_t, Callback> ops_;
+    std::vector<typename std::map<uint64_t, Callback>::node_type> spare_;
   };
 
   struct StalledWrite {
@@ -215,7 +245,8 @@ class Ftl {
   Result<Ppa> ClaimSlot();
 
   void StartWrite(uint64_t lpn, std::vector<uint8_t> data, FileTag tag, uint64_t op);
-  // Releases the lpn's write gate and runs queued same-lpn ops.
+  // Runs the ops queued behind the lpn's finished write, or releases its
+  // write gate when none is left.
   void FinishLpnOp(uint64_t lpn);
   void ApplyTrim(uint64_t lpn);
 
@@ -227,15 +258,16 @@ class Ftl {
   void MaybeFlushMeta();
   void FlushMeta();
 
-  // Read-cache (LRU over logical pages backed by SSD DRAM). Pages are held
-  // behind shared_ptr so a hit hands out a reference, not a copy — in-flight
-  // readers keep evicted pages alive. Inserts carry the write epoch observed
-  // when the miss started; a write/trim in between bumps the epoch and the
-  // stale fill is dropped.
-  using CachedPage = std::shared_ptr<const std::vector<uint8_t>>;
-  CachedPage CacheLookup(uint64_t lpn);
-  void CacheInsert(uint64_t lpn, uint32_t epoch, CachedPage data);
+  // Read-cache (LRU over logical pages backed by SSD DRAM). A cached page is
+  // the NAND's own immutable page buffer, so a fill copies nothing and a hit
+  // hands out a reference — in-flight readers keep evicted pages alive.
+  // Inserts carry the write epoch observed when the miss started; a
+  // write/trim in between bumps the epoch and the stale fill is dropped.
+  // Lookup returns nullptr on a miss.
+  const PageData* CacheLookup(uint64_t lpn);
+  void CacheInsert(uint64_t lpn, uint32_t epoch, const PageData& data);
   void CacheInvalidate(uint64_t lpn);
+  void CacheClear();
 
   // Kicks GC if any die runs low on free blocks. One collection at a time.
   std::optional<std::pair<uint32_t, uint32_t>> FindVictim() const;
@@ -270,9 +302,12 @@ class Ftl {
   uint64_t recoveries_ = 0;
 
   uint64_t next_op_ = 1;
-  std::map<uint64_t, ReadCallback> pending_reads_;
-  std::map<uint64_t, WriteCallback> pending_writes_;
-  std::map<uint64_t, LpnGate> gates_;
+  PendingOps<ReadCallback> pending_reads_;
+  PendingOps<WriteCallback> pending_writes_;
+  // Per-lpn write gate: set while a write to the lpn is on its way to media.
+  std::vector<bool> write_gate_;
+  // Ops waiting on a held gate, for the lpns that have any.
+  std::map<uint64_t, std::deque<QueuedOp>> gate_queues_;
   std::deque<StalledWrite> stalled_;
 
   // Meta journal buffer and group-commit state. Waiters attached to the
@@ -288,10 +323,15 @@ class Ftl {
   std::vector<MetaRecord> recovered_meta_;
   std::vector<RecoveredFilePage> recovered_file_pages_;
 
-  // LRU read cache: list front = most recent; map lpn -> list iterator.
-  std::list<std::pair<uint64_t, CachedPage>> cache_lru_;
-  std::unordered_map<uint64_t, std::list<std::pair<uint64_t, CachedPage>>::iterator>
-      cache_index_;
+  // LRU read cache: list front = most recent. The index maps every lpn to
+  // its list entry, or to cache_lru_.end() when the page is not cached.
+  // Entries of invalidated pages wait in cache_spare_ for the next fill, and
+  // a fill into a full cache takes the least recent entry: once warm, the
+  // cache allocates nothing.
+  using CacheList = std::list<std::pair<uint64_t, PageData>>;
+  CacheList cache_lru_;
+  CacheList cache_spare_;
+  std::vector<CacheList::iterator> cache_index_;
   uint64_t cache_hits_ = 0;
   uint64_t cache_misses_ = 0;
   std::vector<uint32_t> write_epoch_;

@@ -7,6 +7,11 @@
 
 namespace lastcpu::ssddev {
 
+const std::vector<uint8_t>& PageData::bytes() const {
+  static const std::vector<uint8_t> kNone;
+  return bytes_ != nullptr ? *bytes_ : kNone;
+}
+
 NandArray::NandArray(sim::Simulator* simulator, NandGeometry geometry, NandTiming timing,
                      uint64_t seed)
     : simulator_(simulator), geometry_(geometry), timing_(timing), rng_(seed) {
@@ -74,14 +79,14 @@ void NandArray::ReadPage(Ppa ppa, ReadCallback done) {
   });
 }
 
-void NandArray::ProgramPage(Ppa ppa, std::vector<uint8_t> data, OpCallback done) {
+void NandArray::ProgramPage(Ppa ppa, PageData data, OpCallback done) {
   ProgramPage(ppa, std::move(data), OobTag{}, std::move(done));
 }
 
-void NandArray::ProgramPage(Ppa ppa, std::vector<uint8_t> data, OobTag tag, OpCallback done) {
+void NandArray::ProgramPage(Ppa ppa, PageData data, OobTag tag, OpCallback done) {
   LASTCPU_CHECK(done != nullptr, "NAND program without callback");
   Status valid = CheckAddress(ppa);
-  if (valid.ok() && data.size() > geometry_.page_bytes) {
+  if (valid.ok() && data.bytes().size() > geometry_.page_bytes) {
     valid = InvalidArgument("program larger than a page");
   }
   if (!valid.ok()) {
@@ -96,23 +101,24 @@ void NandArray::ProgramPage(Ppa ppa, std::vector<uint8_t> data, OobTag tag, OpCa
     program_observer_(programs_.value());
   }
   uint64_t gen = generation_;
-  simulator_->ScheduleAt(
-      completion, [this, ppa, gen, tag, data = std::move(data), done = std::move(done)]() mutable {
-        if (gen != generation_) {
-          return;  // power lost mid-program: the page is already torn
-        }
-        inflight_programs_.erase(
-            std::find(inflight_programs_.begin(), inflight_programs_.end(), ppa));
-        Block& block = dies_[ppa.die].blocks[ppa.block];
-        if (block.pages[ppa.page] != PageState::kErased) {
-          done(FailedPrecondition("program of a non-erased page"));
-          return;
-        }
-        block.pages[ppa.page] = PageState::kWritten;
-        block.data[ppa.page] = std::move(data);
-        block.oob[ppa.page] = tag;
-        done(OkStatus());
-      });
+  auto land = [this, ppa, gen, tag, data = std::move(data), done = std::move(done)]() mutable {
+    if (gen != generation_) {
+      return;  // power lost mid-program: the page is already torn
+    }
+    inflight_programs_.erase(
+        std::find(inflight_programs_.begin(), inflight_programs_.end(), ppa));
+    Block& block = dies_[ppa.die].blocks[ppa.block];
+    if (block.pages[ppa.page] != PageState::kErased) {
+      done(FailedPrecondition("program of a non-erased page"));
+      return;
+    }
+    block.pages[ppa.page] = PageState::kWritten;
+    block.data[ppa.page] = std::move(data);
+    block.oob[ppa.page] = tag;
+    done(OkStatus());
+  };
+  static_assert(sim::EventFn::StoresInline<decltype(land)>(), "program must stay inline");
+  simulator_->ScheduleAt(completion, std::move(land));
 }
 
 void NandArray::EraseBlock(uint32_t die, uint32_t block, OpCallback done) {
@@ -135,9 +141,7 @@ void NandArray::EraseBlock(uint32_t die, uint32_t block, OpCallback done) {
         std::find(inflight_erases_.begin(), inflight_erases_.end(), std::make_pair(die, block)));
     Block& b = dies_[die].blocks[block];
     b.pages.assign(geometry_.pages_per_block, PageState::kErased);
-    for (auto& page : b.data) {
-      page.clear();
-    }
+    std::fill(b.data.begin(), b.data.end(), PageData());
     std::fill(b.oob.begin(), b.oob.end(), OobTag{});
     ++b.erase_count;
     done(OkStatus());
@@ -150,7 +154,7 @@ void NandArray::PowerCut() {
   for (const Ppa& ppa : inflight_programs_) {
     Block& block = dies_[ppa.die].blocks[ppa.block];
     block.pages[ppa.page] = PageState::kTorn;
-    block.data[ppa.page].clear();
+    block.data[ppa.page] = PageData();
     block.oob[ppa.page] = OobTag{};
     stats_.GetCounter("torn_pages").Increment();
   }
@@ -159,9 +163,7 @@ void NandArray::PowerCut() {
     // An interrupted erase leaves every cell of the block unstable.
     Block& b = dies_[die].blocks[block];
     std::fill(b.pages.begin(), b.pages.end(), PageState::kTorn);
-    for (auto& page : b.data) {
-      page.clear();
-    }
+    std::fill(b.data.begin(), b.data.end(), PageData());
     std::fill(b.oob.begin(), b.oob.end(), OobTag{});
   }
   inflight_erases_.clear();
@@ -182,7 +184,7 @@ const OobTag& NandArray::OobOf(Ppa ppa) const {
 
 const std::vector<uint8_t>& NandArray::DataOf(Ppa ppa) const {
   LASTCPU_CHECK(CheckAddress(ppa).ok(), "bad page address");
-  return dies_[ppa.die].blocks[ppa.block].data[ppa.page];
+  return dies_[ppa.die].blocks[ppa.block].data[ppa.page].bytes();
 }
 
 uint32_t NandArray::EraseCount(uint32_t die, uint32_t block) const {

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -74,10 +75,34 @@ struct OobTag {
   uint64_t size_after = 0;
 };
 
+// The bytes of one programmed page, held as one immutable buffer. The array
+// keeps it and hands that same buffer to every reader, so the FTL read cache
+// and GC relocation hold the NAND's own page rather than a copy. It reads as
+// the page's byte vector; an erased or torn page holds none.
+class PageData {
+ public:
+  PageData() = default;
+  // Takes the bytes over. Only an rvalue converts: copying a vector into a
+  // page is spelled out at the call site.
+  PageData(std::vector<uint8_t>&& bytes)  // NOLINT(google-explicit-constructor)
+      : bytes_(std::make_shared<const std::vector<uint8_t>>(std::move(bytes))) {}
+
+  const std::vector<uint8_t>& bytes() const;
+  operator const std::vector<uint8_t>&() const {  // NOLINT(google-explicit-constructor)
+    return bytes();
+  }
+
+ private:
+  std::shared_ptr<const std::vector<uint8_t>> bytes_;
+};
+
 class NandArray {
  public:
-  using ReadCallback = sim::MoveFn<void(Result<std::vector<uint8_t>>), 160>;
-  using OpCallback = sim::MoveFn<void(Status), 160>;
+  using ReadCallback = sim::MoveFn<void(Result<PageData>), 160>;
+  // 128-byte tier, wide enough for the FTL's GC relocation continuation: a
+  // program's completion event then carries the page, its OOB tag and this
+  // callback within an EventFn's 256 bytes.
+  using OpCallback = sim::MoveFn<void(Status), 128>;
 
   // kTorn: a program or erase lost power mid-pulse. The page reads as
   // DataLoss and cannot be programmed; only a block erase reclaims it.
@@ -90,10 +115,11 @@ class NandArray {
 
   // Asynchronous media operations; completion runs after the die frees up
   // plus the operation latency. Invalid addresses and constraint violations
-  // (program of a non-erased page, read of an unwritten page) fail.
+  // (program of a non-erased page, read of an unwritten page) fail. A read
+  // delivers the page's own buffer; a program keeps the buffer it is given.
   void ReadPage(Ppa ppa, ReadCallback done);
-  void ProgramPage(Ppa ppa, std::vector<uint8_t> data, OpCallback done);
-  void ProgramPage(Ppa ppa, std::vector<uint8_t> data, OobTag tag, OpCallback done);
+  void ProgramPage(Ppa ppa, PageData data, OpCallback done);
+  void ProgramPage(Ppa ppa, PageData data, OobTag tag, OpCallback done);
   void EraseBlock(uint32_t die, uint32_t block, OpCallback done);
 
   // The power rail drops *now*. In-flight programs tear their target page,
@@ -129,7 +155,7 @@ class NandArray {
  private:
   struct Block {
     std::vector<PageState> pages;
-    std::vector<std::vector<uint8_t>> data;
+    std::vector<PageData> data;
     std::vector<OobTag> oob;
     uint32_t erase_count = 0;
   };

@@ -16,6 +16,7 @@
 #ifndef SRC_VIRTIO_VIRTQUEUE_H_
 #define SRC_VIRTIO_VIRTQUEUE_H_
 
+#include <array>
 #include <cstdint>
 #include <initializer_list>
 #include <optional>
@@ -155,10 +156,36 @@ class VirtqueueDriver : public RingAccess {
   std::vector<uint16_t> chain_length_;
 };
 
+// The buffers of a popped chain, in chain order. A request chain is short
+// (the file protocol's has two), so the first kInline buffers sit in the
+// chain itself and only a longer chain puts the rest on the heap.
+class ChainBuffers {
+ public:
+  static constexpr size_t kInline = 2;
+
+  size_t size() const { return size_; }
+  const BufferDesc& operator[](size_t i) const {
+    return i < kInline ? first_[i] : more_[i - kInline];
+  }
+  void push_back(const BufferDesc& buffer) {
+    if (size_ < kInline) {
+      first_[size_] = buffer;
+    } else {
+      more_.push_back(buffer);
+    }
+    ++size_;
+  }
+
+ private:
+  std::array<BufferDesc, kInline> first_{};
+  std::vector<BufferDesc> more_;
+  size_t size_ = 0;
+};
+
 // A chain popped from the avail ring, resolved into buffers.
 struct Chain {
   uint16_t head = 0;
-  std::vector<BufferDesc> buffers;
+  ChainBuffers buffers;
 };
 
 // The service-provider end (lives in the serving device, e.g. the SSD's file

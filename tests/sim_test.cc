@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/base/status.h"
 #include "src/sim/json.h"
 #include "src/sim/rng.h"
 #include "src/sim/simulator.h"
@@ -873,6 +874,35 @@ TEST(ChromeTraceExportTest, SpansRecordParentIds) {
     }
   }
   EXPECT_EQ(roots, 1);
+}
+
+// --- Result ---------------------------------------------------------------------
+
+// Counts copies; moves are free.
+struct CopyCounter {
+  static inline int copies = 0;
+  CopyCounter() = default;
+  CopyCounter(const CopyCounter&) { ++copies; }
+  CopyCounter(CopyCounter&&) noexcept = default;
+  CopyCounter& operator=(const CopyCounter&) {
+    ++copies;
+    return *this;
+  }
+  CopyCounter& operator=(CopyCounter&&) noexcept = default;
+};
+
+TEST(ResultTest, RvalueDereferenceMovesTheValueOut) {
+  Result<CopyCounter> result{CopyCounter()};
+  CopyCounter::copies = 0;
+  [[maybe_unused]] CopyCounter taken = *std::move(result);
+  EXPECT_EQ(CopyCounter::copies, 0);
+}
+
+TEST(ResultTest, AssignMovesTheValueOut) {
+  CopyCounter out;
+  CopyCounter::copies = 0;
+  ASSERT_TRUE(Assign(Result<CopyCounter>(CopyCounter()), out).ok());
+  EXPECT_EQ(CopyCounter::copies, 0);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "src/ssddev/ftl.h"
 #include "src/ssddev/nand.h"
 #include "src/ssddev/smart_ssd.h"
+#include "tests/alloc_counter.h"
 #include "tests/hex.h"
 #include "tests/test_util.h"
 
@@ -38,7 +39,7 @@ TEST_F(NandTest, ProgramThenReadBack) {
   NandArray nand(&simulator_);
   std::optional<std::vector<uint8_t>> read;
   nand.ProgramPage(Ppa{0, 0, 0}, Bytes({1, 2, 3}), [](Status s) { ASSERT_TRUE(s.ok()); });
-  nand.ReadPage(Ppa{0, 0, 0}, [&](Result<std::vector<uint8_t>> r) {
+  nand.ReadPage(Ppa{0, 0, 0}, [&](Result<PageData> r) {
     ASSERT_TRUE(r.ok());
     read = *r;
   });
@@ -50,7 +51,7 @@ TEST_F(NandTest, ProgramThenReadBack) {
 TEST_F(NandTest, ReadOfErasedPageFails) {
   NandArray nand(&simulator_);
   std::optional<Status> status;
-  nand.ReadPage(Ppa{0, 0, 5}, [&](Result<std::vector<uint8_t>> r) { status = r.status(); });
+  nand.ReadPage(Ppa{0, 0, 5}, [&](Result<PageData> r) { status = r.status(); });
   simulator_.Run();
   ASSERT_TRUE(status.has_value());
   EXPECT_EQ(status->code(), StatusCode::kFailedPrecondition);
@@ -83,7 +84,7 @@ TEST_F(NandTest, OperationsTakeAsymmetricTime) {
   nand.ProgramPage(Ppa{0, 0, 0}, Bytes({1}), [&](Status) { program_done = simulator_.Now(); });
   simulator_.Run();
   sim::SimTime start = simulator_.Now();
-  nand.ReadPage(Ppa{0, 0, 0}, [&](Result<std::vector<uint8_t>>) { read_done = simulator_.Now(); });
+  nand.ReadPage(Ppa{0, 0, 0}, [&](Result<PageData>) { read_done = simulator_.Now(); });
   simulator_.Run();
   EXPECT_GT(program_done.nanos(), (read_done - start).nanos());
 }
@@ -110,7 +111,7 @@ TEST_F(NandTest, InjectedReadErrorsSurface) {
   nand.SetReadErrorRate(1.0);
   nand.ProgramPage(Ppa{0, 0, 0}, Bytes({1}), [](Status s) { ASSERT_TRUE(s.ok()); });
   std::optional<Status> status;
-  nand.ReadPage(Ppa{0, 0, 0}, [&](Result<std::vector<uint8_t>> r) { status = r.status(); });
+  nand.ReadPage(Ppa{0, 0, 0}, [&](Result<PageData> r) { status = r.status(); });
   simulator_.Run();
   EXPECT_EQ(status->code(), StatusCode::kDataLoss);
 }
@@ -118,7 +119,7 @@ TEST_F(NandTest, InjectedReadErrorsSurface) {
 TEST_F(NandTest, OutOfRangeAddressRejected) {
   NandArray nand(&simulator_);
   std::optional<Status> status;
-  nand.ReadPage(Ppa{99, 0, 0}, [&](Result<std::vector<uint8_t>> r) { status = r.status(); });
+  nand.ReadPage(Ppa{99, 0, 0}, [&](Result<PageData> r) { status = r.status(); });
   simulator_.Run();
   EXPECT_EQ(status->code(), StatusCode::kInvalidArgument);
 }
@@ -154,7 +155,7 @@ TEST_F(NandTest, PowerCutTearsInflightProgram) {
   EXPECT_EQ(nand.StateOf(Ppa{0, 0, 0}), NandArray::PageState::kTorn);
   // A torn page is unreadable and unprogrammable...
   std::optional<Status> read;
-  nand.ReadPage(Ppa{0, 0, 0}, [&](Result<std::vector<uint8_t>> r) { read = r.status(); });
+  nand.ReadPage(Ppa{0, 0, 0}, [&](Result<PageData> r) { read = r.status(); });
   std::optional<Status> reprogram;
   nand.ProgramPage(Ppa{0, 0, 0}, Bytes({2}), [&](Status s) { reprogram = s; });
   simulator_.Run();
@@ -301,6 +302,41 @@ TEST_F(FtlTest, ReadCacheServesHotPages) {
   EXPECT_EQ(ReadSync(5), PageOf(0xAB));  // hit: no NAND access
   EXPECT_EQ(nand_.stats().GetCounter("reads").value(), nand_reads);
   EXPECT_GT(ftl_.cache_hits(), 0u);
+}
+
+// A miss hands out the NAND's own page buffer and caches that same buffer,
+// so a later hit views it too: no read copies the page.
+TEST_F(FtlTest, ReadsShareTheNandPageBuffer) {
+  WriteSync(5, 0xAB);
+  std::optional<Ppa> where;
+  const NandGeometry& g = nand_.geometry();
+  for (uint32_t die = 0; die < g.dies; ++die) {
+    for (uint32_t block = 0; block < g.blocks_per_die; ++block) {
+      for (uint32_t page = 0; page < g.pages_per_block; ++page) {
+        Ppa ppa{die, block, page};
+        if (nand_.StateOf(ppa) == NandArray::PageState::kWritten &&
+            nand_.OobOf(ppa).kind == OobTag::Kind::kData && nand_.OobOf(ppa).lpn == 5) {
+          where = ppa;
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(where.has_value());
+  auto read_data = [&] {
+    const uint8_t* data = nullptr;
+    ftl_.Read(5, [&](Result<std::span<const uint8_t>> r) {
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      data = r->data();
+    });
+    simulator_.Run();
+    return data;
+  };
+  const uint8_t* miss = read_data();
+  const uint8_t* hit = read_data();
+  EXPECT_EQ(ftl_.cache_misses(), 1u);
+  EXPECT_EQ(ftl_.cache_hits(), 1u);
+  EXPECT_EQ(miss, nand_.DataOf(*where).data());
+  EXPECT_EQ(hit, miss);
 }
 
 TEST_F(FtlTest, CacheInvalidatedOnOverwriteAndTrim) {
@@ -1000,6 +1036,96 @@ TEST_F(FileSessionTest, ResponseLongerThanItsSlotFailsTheRead) {
   harness_.simulator.Run();
   ASSERT_TRUE(read.has_value());
   EXPECT_EQ(read->status().code(), StatusCode::kDataLoss);
+}
+
+// A provider that corrupts a finished chain's link makes the virtqueue
+// driver refuse the used ring with kDataLoss. The used element it consumed
+// named a request that can no longer complete on its own, so the client
+// resets the session: the read fails exactly once with kDataLoss, and the
+// session is gone.
+TEST_F(FileSessionTest, RefusedChainLinkResetsTheSession) {
+  ASSERT_TRUE(OpenSync("kv.log").ok());
+  std::optional<Status> wrote;
+  client_.WriteAt(0, Bytes({5, 6, 7, 8}), [&](Status s) { wrote = s; });
+  harness_.simulator.Run();
+  ASSERT_TRUE(wrote.has_value() && wrote->ok());
+
+  // Before the client drains the completion, point every descriptor's link
+  // past the table, as a faulty provider would.
+  const uint16_t depth = FileServiceConfig{}.queue_depth;  // the fixture keeps the default
+  virtio::VirtqueueLayout ring(SessionLayout(client_.session_base(), depth).ring_base, depth);
+  nic_.doorbell_handler = [&](DeviceId from, uint64_t value) {
+    const uint8_t next[2] = {200, 0};
+    for (uint16_t i = 0; i < depth; ++i) {
+      ASSERT_TRUE(
+          nic_.fabric()->MemWrite(nic_.id(), Pasid(7), ring.DescAddr(i) + 14, next).status.ok());
+    }
+    client_.HandleDoorbell(from, value);
+  };
+  int calls = 0;
+  std::optional<Status> read;
+  client_.ReadAt(0, 4, [&](Result<std::vector<uint8_t>> r) {
+    ++calls;
+    read = r.status();
+  });
+  harness_.simulator.Run();
+  EXPECT_EQ(calls, 1);
+  ASSERT_TRUE(read.has_value());
+  EXPECT_EQ(read->code(), StatusCode::kDataLoss);
+  EXPECT_FALSE(client_.ready());
+}
+
+// A reset while a request's slot write is still on its way fails that
+// request exactly once, with the reset's reason; a session opened after it
+// serves requests normally.
+TEST_F(FileSessionTest, ResetDuringSlotWriteFailsTheRequestOnce) {
+  ASSERT_TRUE(OpenSync("kv.log").ok());
+  int calls = 0;
+  std::optional<Status> wrote;
+  client_.WriteAt(0, Bytes({1, 2, 3, 4}), [&](Status s) {
+    ++calls;
+    wrote = s;
+  });
+  client_.Reset(Unavailable("provider reset"));
+  harness_.simulator.Run();
+  EXPECT_EQ(calls, 1);
+  ASSERT_TRUE(wrote.has_value());
+  EXPECT_EQ(wrote->code(), StatusCode::kUnavailable);
+  EXPECT_EQ(ssd_.file_service().requests_served(), 0u);
+
+  ASSERT_TRUE(OpenSync("kv.log").ok());
+  std::optional<Status> rewrote;
+  client_.WriteAt(0, Bytes({1, 2, 3, 4}), [&](Status s) { rewrote = s; });
+  harness_.simulator.Run();
+  ASSERT_TRUE(rewrote.has_value());
+  EXPECT_TRUE(rewrote->ok()) << rewrote->ToString();
+  EXPECT_EQ(calls, 1);
+}
+
+// Once warmed up, a one-page read served from the FTL cache allocates only
+// its four byte buffers: the request's wire bytes, the filesystem's read
+// result, the response's wire bytes and the client's DMA read result. Every
+// completion on the way sits inline, neither the popped chain nor the FTL's
+// op registry allocates, and no page is copied.
+TEST_F(FileSessionTest, CachedReadAllocatesOnlyItsByteBuffers) {
+  ASSERT_TRUE(OpenSync("kv.log").ok());
+  std::optional<Status> wrote;
+  client_.WriteAt(0, Bytes({5, 6, 7, 8}), [&](Status s) { wrote = s; });
+  harness_.simulator.Run();
+  ASSERT_TRUE(wrote.has_value() && wrote->ok());
+  auto read_once = [&] {
+    std::optional<Status> read;
+    client_.ReadAt(0, 4, [&](Result<std::vector<uint8_t>> r) { read = r.status(); });
+    harness_.simulator.Run();
+    ASSERT_TRUE(read.has_value() && read->ok());
+  };
+  read_once();  // fills the FTL cache
+  read_once();  // warms the event pool, the op registry and the TLBs
+  uint64_t hits = ssd_.ftl().cache_hits();
+  uint64_t before = alloc_counter::Calls();
+  read_once();
+  EXPECT_EQ(alloc_counter::Calls() - before, 4u);
+  EXPECT_EQ(ssd_.ftl().cache_hits(), hits + 1);
 }
 
 TEST_F(FileSessionTest, AppendAndStat) {
