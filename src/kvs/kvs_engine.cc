@@ -73,7 +73,7 @@ std::optional<uint32_t> KvsEngine::GenOf(const std::string& name) const {
 }
 
 void KvsEngine::RunOrQueue(Op op) {
-  if (!compacting_ && file_->HasFreeSlot() && waiting_.empty()) {
+  if (compaction_ == nullptr && file_->HasFreeSlot() && waiting_.empty()) {
     op();
     return;
   }
@@ -87,7 +87,7 @@ void KvsEngine::RunOrQueue(Op op) {
 }
 
 void KvsEngine::PumpWaiting() {
-  while (!compacting_ && !waiting_.empty() && file_->HasFreeSlot()) {
+  while (compaction_ == nullptr && !waiting_.empty() && file_->HasFreeSlot()) {
     Op op = std::move(waiting_.front());
     spare_ops_.splice(spare_ops_.begin(), waiting_, waiting_.begin());
     op();
@@ -271,8 +271,12 @@ void KvsEngine::RecoverFrom(uint64_t offset, std::function<void(Status)> done) {
 
 void KvsEngine::Stop(Status reason) {
   running_ = false;
-  compacting_ = false;
-  compact_file_.reset();
+  // A compaction in progress ends here; the recovery scan at the next Start
+  // deletes its uncommitted generation.
+  if (compaction_ != nullptr) {
+    stats_.GetCounter("compactions_aborted").Increment();
+    EndCompaction()(reason);
+  }
   // Fail queued work before dropping the session (their callbacks expect an
   // answer), then reset the session itself.
   auto waiting = std::move(waiting_);
@@ -289,7 +293,8 @@ bool KvsEngine::HandleDoorbell(DeviceId from, uint64_t value) {
   if (file_->HandleDoorbell(from, value)) {
     return true;
   }
-  return compact_file_ != nullptr && compact_file_->HandleDoorbell(from, value);
+  return compaction_ != nullptr && compaction_->file != nullptr &&
+         compaction_->file->HandleDoorbell(from, value);
 }
 
 // --- operations -----------------------------------------------------------------
@@ -312,17 +317,15 @@ void KvsEngine::Get(const std::string& key, GetCallback done) {
       done(NotFound("no such key"));
       return;
     }
-    auto land = [done = std::move(done)](Result<std::vector<uint8_t>> data) {
+    auto land = [this, done = std::move(done)](Result<std::vector<uint8_t>> data) {
       if (!data.ok()) {
         done(data.status());
-        return;
-      }
-      auto record = LogRecord::Decode(*data);
-      if (!record.ok()) {
+      } else if (auto record = LogRecord::Decode(*data); !record.ok()) {
         done(DataLoss("corrupt log record"));
-        return;
+      } else {
+        done(std::move(record->first.value));
       }
-      done(std::move(record->first.value));
+      OpSettled();
     };
     static_assert(ssddev::FileClient::ReadCallback::StoresInline<decltype(land)>(),
                   "get must stay inline");
@@ -352,6 +355,7 @@ void KvsEngine::Put(const std::string& key, std::vector<uint8_t> value, PutCallb
     auto land = [this, key = std::move(key), length, done = std::move(done)](Result<uint64_t> at) {
       if (!at.ok()) {
         done(at.status());
+        OpSettled();
         return;
       }
       HashIndex::Location old;
@@ -362,6 +366,7 @@ void KvsEngine::Put(const std::string& key, std::vector<uint8_t> value, PutCallb
       log_tail_ = std::max(log_tail_, *at + length);
       index_.Put(key, HashIndex::Location{*at, length});
       done(OkStatus());
+      OpSettled();
       MaybeCompact();
     };
     static_assert(ssddev::FileClient::AppendCallback::StoresInline<decltype(land)>(),
@@ -394,6 +399,7 @@ void KvsEngine::Delete(const std::string& key, PutCallback done) {
                                      done = std::move(done)](Result<uint64_t> at) {
       if (!at.ok()) {
         done(at.status());
+        OpSettled();
         return;
       }
       HashIndex::Location old;
@@ -403,6 +409,7 @@ void KvsEngine::Delete(const std::string& key, PutCallback done) {
       log_tail_ = std::max(log_tail_, *at + length);
       index_.Remove(key);
       done(OkStatus());
+      OpSettled();
       MaybeCompact();
     });
   });
@@ -411,7 +418,7 @@ void KvsEngine::Delete(const std::string& key, PutCallback done) {
 // --- compaction -----------------------------------------------------------------
 
 void KvsEngine::MaybeCompact() {
-  if (!running_ || compacting_ || config_.compact_garbage_ratio <= 0.0) {
+  if (!running_ || compaction_ != nullptr || config_.compact_garbage_ratio <= 0.0) {
     return;
   }
   if (log_tail_ < config_.min_compact_bytes) {
@@ -425,123 +432,205 @@ void KvsEngine::MaybeCompact() {
   CompactNow([](Status) {});
 }
 
+KvsEngine::Compaction* KvsEngine::Current(uint64_t id) const {
+  return compaction_ != nullptr && compaction_->id == id ? compaction_.get() : nullptr;
+}
+
 void KvsEngine::CompactNow(StartCallback done) {
   LASTCPU_CHECK(done != nullptr, "compact without callback");
-  if (!running_ || compacting_) {
+  if (!running_ || compaction_ != nullptr) {
     done(FailedPrecondition("engine not in a compactable state"));
     return;
   }
-  compacting_ = true;
+  // From here new ops queue, so only ops already in flight still move the
+  // index; StartCopy waits for them.
+  compaction_ = std::make_unique<Compaction>();
+  compaction_->id = ++next_compaction_id_;
+  compaction_->provider = file_->provider();
+  compaction_->done = std::move(done);
   stats_.GetCounter("compactions").Increment();
-  uint32_t target_gen = generation_ + 1;
-  std::string target = GenName(target_gen);
-  DeviceId provider = file_->provider();
+  std::string target = GenName(generation_ + 1);
 
   ssddev::CreateRemoteFile(
-      host_, provider, target, config_.auth_token,
-      [this, target, done = std::move(done)](Status created) mutable {
+      host_, compaction_->provider, target, config_.auth_token,
+      [this, id = compaction_->id, target](Status created) {
+        Compaction* job = Current(id);
+        if (job == nullptr) {
+          return;  // stopped; the next recovery scan deletes the file
+        }
         if (!created.ok()) {
-          AbortCompaction(created, std::move(done));
+          AbortCompaction(created);
           return;
         }
-        aborted_compact_file_.reset();
-        compact_file_ = std::make_unique<ssddev::FileClient>(host_, pasid_, config_.file_client);
-        compact_file_->Open(target, config_.auth_token,
-                            [this, done = std::move(done)](Status opened) mutable {
-                              if (!opened.ok()) {
-                                AbortCompaction(opened, std::move(done));
+        if (spare_clients_.empty()) {
+          job->file = std::make_unique<ssddev::FileClient>(host_, pasid_, config_.file_client);
+        } else {
+          job->file = std::move(spare_clients_.front());
+          spare_clients_.pop_front();
+        }
+        job->file->Open(target, config_.auth_token,
+                        [this, id, client = job->file.get()](Status opened) {
+                          Compaction* current = Current(id);
+                          if (current == nullptr) {
+                            // Stopped while opening: EndCompaction left the
+                            // client in closing_ for this answer.
+                            CloseLater(client);
+                            return;
+                          }
+                          current->phase = Compaction::Phase::kDraining;
+                          if (!opened.ok()) {
+                            AbortCompaction(opened);
+                            return;
+                          }
+                          // Ops issued before the compaction began have long
+                          // left their request DMA (the create and open round
+                          // trips outlast it), so InFlight counts them all.
+                          if (file_->InFlight() == 0) {
+                            StartCopy();
+                          }
+                        });
+      });
+}
+
+void KvsEngine::OpSettled() {
+  if (compaction_ != nullptr && compaction_->phase == Compaction::Phase::kDraining &&
+      file_->InFlight() == 0) {
+    StartCopy();
+  }
+}
+
+void KvsEngine::StartCopy() {
+  // The old session has drained, so the index holds every acked write and
+  // nothing moves it until the swap.
+  Compaction& job = *compaction_;
+  job.phase = Compaction::Phase::kCopying;
+  job.live.assign(index_.entries().begin(), index_.entries().end());
+  std::sort(job.live.begin(), job.live.end(), [](const auto& a, const auto& b) {
+    return a.second.offset < b.second.offset;
+  });
+  CopyNext();
+}
+
+void KvsEngine::CopyNext() {
+  Compaction& job = *compaction_;
+  while (job.next < job.read_end) {
+    const HashIndex::Location& location = job.live[job.next].second;
+    if (job.pack.size() + location.length > ssddev::kMaxWriteBytes) {
+      AppendPack();
+      return;
+    }
+    if (job.pack.empty()) {
+      job.pack.reserve(ssddev::kMaxWriteBytes);
+    }
+    auto from = job.read.begin() + static_cast<ptrdiff_t>(location.offset - job.read_start);
+    job.pack.insert(job.pack.end(), from, from + location.length);
+    ++job.next;
+  }
+  if (job.next < job.live.size()) {
+    ReadRun();
+  } else if (!job.pack.empty()) {
+    AppendPack();
+  } else {
+    Seal();
+  }
+}
+
+void KvsEngine::ReadRun() {
+  // One read covers every following record that ends within kMaxReadBytes of
+  // the first; a record is at most kMaxWriteBytes, so the run holds at least
+  // one.
+  Compaction& job = *compaction_;
+  uint64_t start = job.live[job.next].second.offset;
+  size_t end = job.next;
+  uint64_t stop = start;
+  while (end < job.live.size()) {
+    const HashIndex::Location& location = job.live[end].second;
+    if (location.offset + location.length - start > ssddev::kMaxReadBytes) {
+      break;
+    }
+    stop = location.offset + location.length;
+    ++end;
+  }
+  auto length = static_cast<uint32_t>(stop - start);
+  file_->ReadAt(start, length,
+                [this, id = job.id, start, end, length](Result<std::vector<uint8_t>> data) {
+                  Compaction* current = Current(id);
+                  if (current == nullptr) {
+                    return;
+                  }
+                  if (!data.ok()) {
+                    AbortCompaction(data.status());
+                    return;
+                  }
+                  if (data->size() != length) {
+                    AbortCompaction(DataLoss("short read of a live record"));
+                    return;
+                  }
+                  current->read = *std::move(data);
+                  current->read_start = start;
+                  current->read_end = end;
+                  CopyNext();
+                });
+}
+
+void KvsEngine::AppendPack() {
+  Compaction& job = *compaction_;
+  job.file->Append(std::exchange(job.pack, {}), [this, id = job.id](Result<uint64_t> at) {
+    Compaction* current = Current(id);
+    if (current == nullptr) {
+      return;
+    }
+    if (!at.ok()) {
+      AbortCompaction(at.status());
+      return;
+    }
+    uint64_t offset = *at;
+    for (; current->packed < current->next; ++current->packed) {
+      const auto& [key, location] = current->live[current->packed];
+      current->index.Put(key, HashIndex::Location{offset, location.length});
+      offset += location.length;
+      stats_.GetCounter("compacted_records").Increment();
+    }
+    CopyNext();
+  });
+}
+
+void KvsEngine::Seal() {
+  LogRecord marker;
+  marker.key = CommitMarkerKey();
+  marker.tombstone = true;
+  auto bytes = marker.Encode();
+  uint64_t length = bytes.size();
+  compaction_->file->Append(std::move(bytes),
+                            [this, id = compaction_->id, length](Result<uint64_t> at) {
+                              if (Current(id) == nullptr) {
                                 return;
                               }
-                              auto live = std::make_shared<
-                                  std::vector<std::pair<std::string, HashIndex::Location>>>(
-                                  index_.entries().begin(), index_.entries().end());
-                              auto new_index = std::make_shared<HashIndex>();
-                              auto new_tail = std::make_shared<uint64_t>(0);
-                              CopyNext(live, 0, new_index, new_tail, std::move(done));
+                              if (!at.ok()) {
+                                AbortCompaction(at.status());
+                                return;
+                              }
+                              FinishCompaction(*at + length);
                             });
-      });
 }
 
-void KvsEngine::CopyNext(
-    std::shared_ptr<std::vector<std::pair<std::string, HashIndex::Location>>> live, size_t index,
-    std::shared_ptr<HashIndex> new_index, std::shared_ptr<uint64_t> new_tail,
-    StartCallback done) {
-  if (index >= live->size()) {
-    // Seal the generation with the commit marker.
-    LogRecord marker;
-    marker.key = CommitMarkerKey();
-    marker.tombstone = true;
-    auto bytes = marker.Encode();
-    auto length = static_cast<uint64_t>(bytes.size());
-    compact_file_->Append(std::move(bytes),
-                          [this, new_index, new_tail, length,
-                           done = std::move(done)](Result<uint64_t> at) mutable {
-                            if (!at.ok()) {
-                              AbortCompaction(at.status(), std::move(done));
-                              return;
-                            }
-                            FinishCompaction(new_index, *new_tail + length, std::move(done));
-                          });
-    return;
-  }
-  const auto& [key, location] = (*live)[index];
-  file_->ReadAt(
-      location.offset, location.length,
-      [this, live, index, new_index, new_tail, key = key,
-       done = std::move(done)](Result<std::vector<uint8_t>> data) mutable {
-        if (!data.ok()) {
-          AbortCompaction(data.status(), std::move(done));
-          return;
-        }
-        auto length = static_cast<uint32_t>(data->size());
-        compact_file_->Append(*std::move(data),
-                              [this, live, index, new_index, new_tail, key = std::move(key),
-                               length, done = std::move(done)](Result<uint64_t> at) mutable {
-                                if (!at.ok()) {
-                                  AbortCompaction(at.status(), std::move(done));
-                                  return;
-                                }
-                                new_index->Put(key, HashIndex::Location{*at, length});
-                                *new_tail = std::max(*new_tail, *at + length);
-                                stats_.GetCounter("compacted_records").Increment();
-                                CopyNext(live, index + 1, new_index, new_tail, std::move(done));
-                              });
-      });
-}
-
-void KvsEngine::FinishCompaction(std::shared_ptr<HashIndex> new_index, uint64_t new_tail,
-                                 StartCallback done) {
-  // Let requests that were in flight on the old session before compaction
-  // started finish cleanly rather than aborting them at the swap.
-  if (file_->InFlight() > 0) {
-    host_->simulator()->Schedule(sim::Duration::Micros(10),
-                                 [this, new_index, new_tail, done = std::move(done)]() mutable {
-                                   FinishCompaction(new_index, new_tail, std::move(done));
-                                 });
-    return;
-  }
+void KvsEngine::FinishCompaction(uint64_t tail) {
   // Swap: the new generation becomes the store; the old file is deleted via
-  // the control plane. Queued operations resume against the new session.
+  // the control plane. The old session has been idle since the snapshot (ops
+  // queued, and the copy's reads are done), so it closes cleanly. The index
+  // holds the same records as at the snapshot, so live_bytes_ stands.
+  std::unique_ptr<Compaction> job = std::move(compaction_);
   std::string old_name = active_file_;
-  DeviceId provider = compact_file_->provider();
-  uint32_t target_gen = generation_ + 1;
-
-  file_->Reset(Aborted("superseded by compaction"));
-  file_ = std::move(compact_file_);
+  Retire(std::exchange(file_, std::move(job->file)));
   file_->SetSlotAvailableCallback([this] { PumpWaiting(); });
-  index_ = *new_index;
-  live_bytes_ = 0;
-  for (const auto& [key, location] : index_.entries()) {
-    live_bytes_ += location.length;
-  }
-  log_tail_ = new_tail;
-  generation_ = target_gen;
-  active_file_ = GenName(target_gen);
-  compacting_ = false;
+  index_ = std::move(job->index);
+  log_tail_ = tail;
+  generation_ += 1;
+  active_file_ = GenName(generation_);
   stats_.GetCounter("compactions_completed").Increment();
 
-  ssddev::DeleteRemoteFile(host_, provider, old_name, config_.auth_token,
-                           [done = std::move(done)](Status deleted) {
+  ssddev::DeleteRemoteFile(host_, job->provider, old_name, config_.auth_token,
+                           [done = std::move(job->done)](Status deleted) {
                              // Best effort: leftover debris is cleaned at the
                              // next recovery.
                              (void)deleted;
@@ -550,20 +639,49 @@ void KvsEngine::FinishCompaction(std::shared_ptr<HashIndex> new_index, uint64_t 
   PumpWaiting();
 }
 
-void KvsEngine::AbortCompaction(Status reason, StartCallback done) {
+void KvsEngine::AbortCompaction(Status reason) {
   stats_.GetCounter("compactions_aborted").Increment();
-  if (compact_file_ != nullptr) {
-    DeviceId provider = compact_file_->provider();
-    std::string target = GenName(generation_ + 1);
-    compact_file_->Reset(reason);
-    aborted_compact_file_ = std::move(compact_file_);
-    if (provider.valid()) {
-      ssddev::DeleteRemoteFile(host_, provider, target, config_.auth_token, [](Status) {});
-    }
-  }
-  compacting_ = false;
+  DeviceId provider = compaction_->provider;
+  StartCallback done = EndCompaction();
+  ssddev::DeleteRemoteFile(host_, provider, GenName(generation_ + 1), config_.auth_token,
+                           [](Status) {});
   PumpWaiting();
   done(reason);
+}
+
+KvsEngine::StartCallback KvsEngine::EndCompaction() {
+  std::unique_ptr<Compaction> job = std::move(compaction_);
+  if (job->file != nullptr) {
+    ssddev::FileClient* client = job->file.get();
+    closing_.push_back(std::move(job->file));
+    // A session still opening is closed when its Open answers.
+    if (job->phase != Compaction::Phase::kOpening) {
+      CloseLater(client);
+    }
+  }
+  return std::move(job->done);
+}
+
+void KvsEngine::Retire(std::unique_ptr<ssddev::FileClient> client) {
+  closing_.push_back(std::move(client));
+  CloseRetired(std::prev(closing_.end()));
+}
+
+void KvsEngine::CloseLater(ssddev::FileClient* client) {
+  // The abort can run inside the client's own completion; defer off it, as
+  // the debris path in TryCandidate does.
+  host_->simulator()->Schedule(sim::Duration::Nanos(100), [this, client] {
+    auto it = std::find_if(closing_.begin(), closing_.end(),
+                           [client](const auto& c) { return c.get() == client; });
+    LASTCPU_CHECK(it != closing_.end(), "closing a client the engine does not hold");
+    CloseRetired(it);
+  });
+}
+
+void KvsEngine::CloseRetired(std::list<std::unique_ptr<ssddev::FileClient>>::iterator it) {
+  (*it)->SetSlotAvailableCallback(nullptr);
+  // A session that never opened, or was reset, answers at once.
+  (*it)->Close([this, it](Status) { spare_clients_.splice(spare_clients_.end(), closing_, it); });
 }
 
 // --- network protocol -------------------------------------------------------------

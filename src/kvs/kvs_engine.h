@@ -11,7 +11,13 @@
 // bytes in the log. When the garbage ratio crosses a threshold the engine
 // rewrites live records into a fresh generation file ("kv.log.N"), seals it
 // with a commit-marker record, atomically swaps its index/session over, and
-// deletes the old generation — entirely via the remote file service.
+// deletes the old generation — entirely via the remote file service. New ops
+// queue from the moment a compaction starts; the index snapshot is taken only
+// once the old session has drained, so it holds every acked write. The copy
+// runs in old-log order: one read covers a run of live records (dead bytes
+// between them included) and whole records are packed into few appends. The
+// superseded session and an aborted compaction's session are closed, so their
+// ring memory goes back to the memory controller.
 // Recovery lists the provider's files and adopts the newest *committed*
 // generation (an uncommitted one is half-copied debris and is deleted).
 #ifndef SRC_KVS_KVS_ENGINE_H_
@@ -102,7 +108,7 @@ class KvsEngine {
   // Rewrites live records into the next log generation now (normally driven
   // automatically by the garbage-ratio trigger).
   void CompactNow(StartCallback done);
-  bool compacting() const { return compacting_; }
+  bool compacting() const { return compaction_ != nullptr; }
   uint32_t generation() const { return generation_; }
   uint64_t log_tail_bytes() const { return log_tail_; }
   uint64_t live_bytes() const { return live_bytes_; }
@@ -132,21 +138,61 @@ class KvsEngine {
   // Recovery scan of the open session's log into the index.
   void RecoverFrom(uint64_t offset, std::function<void(Status)> done);
 
-  // Compaction pipeline.
-  void CopyNext(std::shared_ptr<std::vector<std::pair<std::string, HashIndex::Location>>> live,
-                size_t index, std::shared_ptr<HashIndex> new_index,
-                std::shared_ptr<uint64_t> new_tail, StartCallback done);
-  void FinishCompaction(std::shared_ptr<HashIndex> new_index, uint64_t new_tail,
-                        StartCallback done);
-  void AbortCompaction(Status reason, StartCallback done);
+  // Compaction pipeline: CompactNow creates and opens the next generation;
+  // StartCopy snapshots the index once the old session has drained; CopyNext
+  // alternates ReadRun (one read per run of live records) and AppendPack (one
+  // append per pack of whole records); Seal appends the commit marker;
+  // FinishCompaction swaps. Every completion names its compaction by id and
+  // does nothing once that compaction has ended.
+  struct Compaction {
+    enum class Phase { kOpening, kDraining, kCopying };
+    uint64_t id = 0;
+    Phase phase = Phase::kOpening;
+    DeviceId provider;
+    StartCallback done;
+    std::unique_ptr<ssddev::FileClient> file;  // the next generation's session
+    // The live records at the snapshot, in old-log order. Records before
+    // `packed` are in the next generation, [packed, next) wait in `pack`, and
+    // [next, read_end) in `read`, which holds the old log from `read_start`.
+    std::vector<std::pair<std::string, HashIndex::Location>> live;
+    size_t packed = 0;
+    size_t next = 0;
+    size_t read_end = 0;
+    uint64_t read_start = 0;
+    std::vector<uint8_t> read;
+    std::vector<uint8_t> pack;
+    HashIndex index;  // the next generation's
+  };
+  // The running compaction if `id` names it, else null.
+  Compaction* Current(uint64_t id) const;
+  void StartCopy();
+  void CopyNext();
+  void ReadRun();
+  void AppendPack();
+  void Seal();
+  void FinishCompaction(uint64_t tail);
+  void AbortCompaction(Status reason);
+  // Detaches the running compaction and retires its session; returns the
+  // compaction's callback.
+  StartCallback EndCompaction();
+  // Runs after each op on the serving session completes: a compaction waiting
+  // for the session to drain starts its copy once the last op is in.
+  void OpSettled();
   void MaybeCompact();
+
+  // Closes a session the engine no longer serves from.
+  void Retire(std::unique_ptr<ssddev::FileClient> client);
+  // Closes a client already in closing_, off its own completion stack.
+  void CloseLater(ssddev::FileClient* client);
+  // Closes the client at `it`, then moves it to spare_clients_.
+  void CloseRetired(std::list<std::unique_ptr<ssddev::FileClient>>::iterator it);
 
   // 256-byte tier: a queued op captures a key, a record and a nested
   // 160-tier completion (256 bytes for a put) and must stay inline.
   using Op = sim::MoveFn<void(), 256>;
 
-  // Runs `op` now if the session has a free slot (and no compaction swap is
-  // in progress), else queues it.
+  // Runs `op` now if the session has a free slot (and no compaction is in
+  // progress), else queues it.
   void RunOrQueue(Op op);
   void PumpWaiting();
 
@@ -162,12 +208,15 @@ class KvsEngine {
   uint64_t live_bytes_ = 0;  // bytes of records the index still references
   bool commit_seen_ = false;
 
-  bool compacting_ = false;
-  std::unique_ptr<ssddev::FileClient> compact_file_;
-  // An aborted compaction's client. The abort can run inside that client's
-  // own completion, so the client lives on until the next compaction
-  // replaces it (or the engine goes away).
-  std::unique_ptr<ssddev::FileClient> aborted_compact_file_;
+  std::unique_ptr<Compaction> compaction_;
+  uint64_t next_compaction_id_ = 0;
+  // Clients of sessions the engine no longer serves from. A client stays in
+  // closing_ until its Close completes (Close's RPC callbacks capture it),
+  // then waits in spare_clients_ for a later compaction to open it again. It
+  // lives as long as the engine: a DMA of its old session may still complete
+  // into it, and a reopened client hands out no slot that DMA still holds.
+  std::list<std::unique_ptr<ssddev::FileClient>> closing_;
+  std::list<std::unique_ptr<ssddev::FileClient>> spare_clients_;
 
   // Ops waiting for a slot; finished entries wait in spare_ops_ for the next
   // one, so queueing allocates nothing once warm.

@@ -241,10 +241,13 @@ void FlashFs::WritePages(WriteQueues::iterator queue, size_t page_index) {
   uint64_t slice_begin = std::max(write.offset, page_start);
   uint64_t slice_end = std::min(write.offset + write.data.size(), page_start + page_bytes);
   uint64_t lpn = inode.lpns[page];
-  // Journal the file identity with the page, and the file size this page
-  // makes durable once it is on media.
+  // Journal the file identity with the page, and the file size durable once
+  // it is on media. Only a write's last page carries the write's end, so a
+  // write torn by a power cut leaves the file at its old size: an append is
+  // durable whole or not at all, never as a prefix later appends land behind.
   Ftl::FileTag tag{inode.id, static_cast<uint32_t>(page),
-                   std::max(inode.durable_size, slice_end)};
+                   page == last_page ? std::max(inode.durable_size, slice_end)
+                                     : inode.durable_size};
 
   bool full_page = slice_begin == page_start && slice_end == page_start + page_bytes;
   if (full_page || !ftl_->IsMapped(lpn)) {
@@ -273,15 +276,16 @@ void FlashFs::WritePage(WriteQueues::iterator queue, size_t page_index, uint64_t
   page.resize(page_bytes, 0);
   std::memcpy(page.data() + (slice_begin - page_start),
               write.data.data() + (slice_begin - write.offset), slice_end - slice_begin);
-  ftl_->Write(lpn, std::move(page), tag, [this, queue, page_index, slice_end](Status s) {
+  ftl_->Write(lpn, std::move(page), tag,
+              [this, queue, page_index, durable = tag.size_after](Status s) {
     if (!s.ok()) {
       FinishWrite(queue, s);
       return;
     }
-    // This page is durable; advance the acked prefix.
+    // This page is durable, and with it the size its tag carries.
     auto it = files_.find(queue->first);
     if (it != files_.end()) {
-      it->second.durable_size = std::max(it->second.durable_size, slice_end);
+      it->second.durable_size = std::max(it->second.durable_size, durable);
     }
     WritePages(queue, page_index + 1);
   });

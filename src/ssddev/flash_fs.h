@@ -108,8 +108,8 @@ class FlashFs {
     uint32_t id = 0;  // journaled identity; data-page tags carry it
     uint64_t size = 0;
     // Bytes known durable on media (≤ size, which is reserved optimistically
-    // when a write is accepted). Data-page tags snapshot this so recovery
-    // reports the acked prefix.
+    // when a write is accepted): the end of the last write whose pages are
+    // all on media. Data-page tags snapshot this so recovery reports it.
     uint64_t durable_size = 0;
     std::vector<uint64_t> lpns;  // one per page-sized extent
     FileAcl acl;

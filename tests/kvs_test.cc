@@ -4,6 +4,7 @@
 // both engine restart and whole-device failure (Sec. 4).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <set>
@@ -291,6 +292,18 @@ class KvsMachineTest : public ::testing::Test {
     return *result;
   }
 
+  // The whole file, read straight from the SSD's file system.
+  std::vector<uint8_t> FileBytes(const std::string& name) {
+    auto info = ssd_->fs().Stat(name);
+    LASTCPU_CHECK(info.ok(), "no such file");
+    std::optional<Result<std::vector<uint8_t>>> read;
+    ssd_->fs().Read(name, 0, info->size,
+                    [&](Result<std::vector<uint8_t>> r) { read = std::move(r); });
+    machine_.RunUntilIdle();
+    LASTCPU_CHECK(read.has_value() && read->ok(), "file read failed");
+    return **read;
+  }
+
   core::Machine machine_;
   ssddev::SmartSsd* ssd_ = nullptr;
   nicdev::SmartNic* nic_ = nullptr;
@@ -447,6 +460,108 @@ TEST_F(KvsMachineTest, OperationsIssuedDuringCompactionAreServed) {
   EXPECT_EQ(*GetSync("key5"), (std::vector<uint8_t>{0x55}));
 }
 
+// A PUT in flight when the compaction starts is acked while it runs. The
+// snapshot must hold it, or the swap brings back the older value.
+TEST_F(KvsMachineTest, PutAckedDuringCompactionSurvivesSwap) {
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(PutSync("key" + std::to_string(i), {static_cast<uint8_t>(i)}).ok());
+  }
+  std::optional<Status> put;
+  bool acked_while_compacting = false;
+  app_->engine().Put("key5", {0x55}, [&](Status s) {
+    put = s;
+    acked_while_compacting = app_->engine().compacting();
+  });
+  std::optional<Status> compacted;
+  app_->engine().CompactNow([&](Status s) { compacted = s; });
+  machine_.RunUntilIdle();
+  ASSERT_TRUE(put.has_value() && put->ok());
+  ASSERT_TRUE(compacted.has_value() && compacted->ok()) << compacted->ToString();
+  EXPECT_TRUE(acked_while_compacting);
+  EXPECT_EQ(app_->engine().generation(), 1u);
+  auto got = GetSync("key5");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, (std::vector<uint8_t>{0x55}));
+}
+
+// The same for a DELETE: acked during the compaction, the key stays deleted.
+TEST_F(KvsMachineTest, DeleteAckedDuringCompactionStaysDeleted) {
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(PutSync("key" + std::to_string(i), {static_cast<uint8_t>(i)}).ok());
+  }
+  std::optional<Status> deleted;
+  bool acked_while_compacting = false;
+  app_->engine().Delete("key5", [&](Status s) {
+    deleted = s;
+    acked_while_compacting = app_->engine().compacting();
+  });
+  std::optional<Status> compacted;
+  app_->engine().CompactNow([&](Status s) { compacted = s; });
+  machine_.RunUntilIdle();
+  ASSERT_TRUE(deleted.has_value() && deleted->ok());
+  ASSERT_TRUE(compacted.has_value() && compacted->ok()) << compacted->ToString();
+  EXPECT_TRUE(acked_while_compacting);
+  EXPECT_EQ(GetSync("key5").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(app_->engine().index().size(), 9u);
+}
+
+// The compacted generation is the old log's live records, concatenated in
+// old-offset order, then the commit marker. The copy reads runs of the old
+// log and packs whole records into appends: 64 live records of 1036 bytes
+// with 8 dead ones between them take 5 reads (each under kMaxReadBytes,
+// 16368 B), 22 appends of up to 3 records (kMaxWriteBytes is 4080 B) and one
+// marker append. A read and an append per record made it 129.
+TEST_F(KvsMachineTest, CompactionCopiesLiveRecordsInLogOrder) {
+  auto key = [](int i) { return "k" + std::string(i < 10 ? "0" : "") + std::to_string(i); };
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_TRUE(PutSync(key(i), std::vector<uint8_t>(1024, static_cast<uint8_t>(i))).ok());
+  }
+  // Overwrite every key in a scrambled order, so log order is neither key
+  // order nor hash order, with a dead record after every eighth.
+  for (int j = 0; j < 64; ++j) {
+    int i = (j * 37) % 64;
+    ASSERT_TRUE(PutSync(key(i), std::vector<uint8_t>(1024, static_cast<uint8_t>(i + 64))).ok());
+    if (j % 8 == 7) {
+      ASSERT_TRUE(PutSync("k__", std::vector<uint8_t>(1024, 0xEE)).ok());
+    }
+  }
+  std::optional<Status> deleted;
+  app_->engine().Delete("k__", [&](Status s) { deleted = s; });
+  machine_.RunUntilIdle();
+  ASSERT_TRUE(deleted.has_value() && deleted->ok());
+  ASSERT_EQ(app_->engine().index().size(), 64u);
+
+  std::vector<std::pair<uint64_t, uint32_t>> live;
+  for (const auto& [k, location] : app_->engine().index().entries()) {
+    live.emplace_back(location.offset, location.length);
+  }
+  std::sort(live.begin(), live.end());
+  std::vector<uint8_t> old_log = FileBytes("kv.log");
+  std::vector<uint8_t> expected;
+  for (const auto& [offset, length] : live) {
+    expected.insert(expected.end(), old_log.begin() + static_cast<ptrdiff_t>(offset),
+                    old_log.begin() + static_cast<ptrdiff_t>(offset + length));
+  }
+  LogRecord marker{std::string(1, '\x01') + "__compaction_commit__", {}, true};
+  std::vector<uint8_t> marker_bytes = marker.Encode();
+  expected.insert(expected.end(), marker_bytes.begin(), marker_bytes.end());
+
+  sim::Counter& requests = nic_->stats().GetCounter("file_client_requests");
+  uint64_t requests_before = requests.value();
+  std::optional<Status> compacted;
+  app_->engine().CompactNow([&](Status s) { compacted = s; });
+  machine_.RunUntilIdle();
+  ASSERT_TRUE(compacted.has_value() && compacted->ok()) << compacted->ToString();
+  EXPECT_EQ(requests.value() - requests_before, 28u);
+  EXPECT_EQ(FileBytes("kv.log.1"), expected);
+  EXPECT_EQ(app_->engine().log_tail_bytes(), expected.size());
+  for (int i = 0; i < 64; ++i) {
+    auto got = GetSync(key(i));
+    ASSERT_TRUE(got.ok()) << key(i);
+    EXPECT_EQ(*got, std::vector<uint8_t>(1024, static_cast<uint8_t>(i + 64))) << key(i);
+  }
+}
+
 TEST_F(KvsMachineTest, AutomaticCompactionTriggersOnGarbageRatio) {
   // Rebuild the app with compaction armed.
   kvs::KvsAppConfig config;
@@ -538,7 +653,7 @@ TEST_F(KvsMachineTest, TeardownReclaimsApplicationMemory) {
 // engine must come through it serving the old generation.
 TEST(KvsCompactionTest, FailedCompactionAppendLeavesEngineServing) {
   core::Machine machine;
-  machine.AddMemoryController();
+  memdev::MemoryController& controller = machine.AddMemoryController();
   ssddev::SmartSsdConfig ssd_config;
   ssd_config.host_auth_service = false;
   ssd_config.nand.dies = 2;
@@ -570,6 +685,7 @@ TEST(KvsCompactionTest, FailedCompactionAppendLeavesEngineServing) {
                     .ok());
   }
 
+  uint64_t allocations_before = controller.allocation_count();
   std::optional<Status> compacted;
   engine.CompactNow([&](Status s) { compacted = s; });
   machine.RunUntilIdle();
@@ -579,6 +695,8 @@ TEST(KvsCompactionTest, FailedCompactionAppendLeavesEngineServing) {
   EXPECT_FALSE(engine.compacting());
   EXPECT_EQ(engine.generation(), 0u);
   EXPECT_FALSE(ssd.fs().Exists("kv.log.1"));
+  // The aborted compaction's session is closed, not leaked.
+  EXPECT_EQ(controller.allocation_count(), allocations_before);
 
   std::optional<Result<std::vector<uint8_t>>> got;
   engine.Get("key1", [&](Result<std::vector<uint8_t>> r) { got = std::move(r); });
@@ -586,6 +704,61 @@ TEST(KvsCompactionTest, FailedCompactionAppendLeavesEngineServing) {
   ASSERT_TRUE(got.has_value() && got->ok());
   EXPECT_EQ(**got, std::vector<uint8_t>(1024, 1));
   EXPECT_TRUE(put("key1", {1, 2, 3}).ok());
+}
+
+// Sustained overwrites with compaction armed: every compaction closes the
+// session it supersedes, so the memory controller's live allocations stay
+// flat and no PUT fails. With the superseded sessions leaked, the controller
+// ran out of memory for new sessions after about 19 k PUTs.
+TEST(KvsCompactionTest, SustainedOverwritesKeepAllocationsFlat) {
+  core::Machine machine;
+  memdev::MemoryController& controller = machine.AddMemoryController();
+  ssddev::SmartSsdConfig ssd_config;
+  ssd_config.host_auth_service = false;
+  ssddev::SmartSsd& ssd = machine.AddSmartSsd(ssd_config);
+  nicdev::SmartNic& nic = machine.AddSmartNic();
+  ssd.ProvisionFile("kv.log", {});
+  KvsAppConfig config;
+  config.engine.compact_garbage_ratio = 0.5;
+  config.engine.min_compact_bytes = 128 << 10;
+  auto app = std::make_unique<KvsApp>(&nic, machine.NewApplication("kvs"), config);
+  KvsEngine& engine = app->engine();
+  nic.LoadApp(std::move(app));
+  machine.Boot();
+  ASSERT_TRUE(engine.running());
+
+  constexpr int kKeys = 32;
+  constexpr int kRounds = 1563;  // 50,016 PUTs
+  sim::Counter& completed = engine.stats().GetCounter("compactions_completed");
+  std::optional<uint64_t> allocations;
+  uint64_t failed = 0;
+  // One PUT per key per round, all in flight together, so compactions start
+  // with PUTs still on the old session.
+  for (int round = 0; round < kRounds; ++round) {
+    for (int k = 0; k < kKeys; ++k) {
+      std::vector<uint8_t> value(1024, static_cast<uint8_t>(round));
+      engine.Put("key" + std::to_string(k), std::move(value), [&failed](Status s) {
+        failed += s.ok() ? 0 : 1;
+      });
+    }
+    machine.RunUntilIdle();
+    ASSERT_EQ(failed, 0u) << "round " << round;
+    if (!allocations.has_value() && completed.value() > 0) {
+      allocations = controller.allocation_count();
+    } else if (allocations.has_value()) {
+      ASSERT_EQ(controller.allocation_count(), *allocations) << "round " << round;
+    }
+  }
+  EXPECT_GT(completed.value(), 10u);
+  EXPECT_EQ(engine.stats().GetCounter("compactions_aborted").value(), 0u);
+  for (int k = 0; k < kKeys; ++k) {
+    std::optional<Result<std::vector<uint8_t>>> got;
+    engine.Get("key" + std::to_string(k),
+               [&](Result<std::vector<uint8_t>> r) { got = std::move(r); });
+    machine.RunUntilIdle();
+    ASSERT_TRUE(got.has_value() && got->ok());
+    EXPECT_EQ(**got, std::vector<uint8_t>(1024, static_cast<uint8_t>(kRounds - 1)));
+  }
 }
 
 }  // namespace

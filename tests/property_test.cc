@@ -4,9 +4,11 @@
 //   * FlashFs vs a byte-vector shadow file system
 //   * Virtqueue vs a set-model of outstanding chains
 //   * The full KVS machine vs a std::map shadow store
+//   * The KVS under SSD power cuts vs its newest acked values
 //   * IOMMU map/unmap/translate vs a flat shadow mapping
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <optional>
@@ -432,6 +434,134 @@ TEST_P(KvsProperty, MatchesShadowStore) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KvsProperty, ::testing::Values(5, 77));
+
+// --- KVS power cuts vs acked-value shadow ------------------------------------------
+//
+// A PUT/DELETE stream with log compaction armed, and the SSD's power cut at
+// seeded instants, some of them inside a compaction. The shadow records each
+// key's newest acked value. After the SSD recovers and the engine restarts,
+// every key must hold that value, or the effect of an op still unacked at
+// the cut (which may or may not have reached the log).
+
+using KvsPowerCutProperty = SeededTest;
+
+TEST_P(KvsPowerCutProperty, RestartReadsNewestAckedValues) {
+  core::Machine machine;
+  machine.AddMemoryController();
+  ssddev::SmartSsdConfig ssd_config;
+  ssd_config.host_auth_service = false;
+  auto& ssd = machine.AddSmartSsd(ssd_config);
+  auto& nic = machine.AddSmartNic();
+  ssd.ProvisionFile("kv.log", {});
+  kvs::KvsAppConfig config;
+  config.engine.compact_garbage_ratio = 0.5;
+  config.engine.min_compact_bytes = 16 << 10;
+  auto app_owner = std::make_unique<kvs::KvsApp>(&nic, machine.NewApplication("kvs"), config);
+  kvs::KvsApp* app = app_owner.get();
+  kvs::KvsEngine& engine = app->engine();
+  nic.LoadApp(std::move(app_owner));
+  machine.Boot();
+  ASSERT_TRUE(engine.running());
+
+  using Value = std::optional<std::vector<uint8_t>>;  // nullopt: no such key
+  constexpr uint64_t kKeys = 12;
+  auto key_name = [](uint64_t i) { return "k" + std::to_string(i); };
+  sim::Rng rng(GetParam());
+  std::map<std::string, Value> acked;
+  for (uint64_t i = 0; i < kKeys; ++i) {
+    acked[key_name(i)] = std::nullopt;
+  }
+  uint64_t cuts = 0;
+  uint64_t cuts_in_compaction = 0;
+
+  // Reads every key; each must hold a value `allowed` names for it, which
+  // then becomes its acked value.
+  auto verify = [&](const std::map<std::string, std::vector<Value>>& allowed) {
+    for (auto& [key, value] : acked) {
+      std::optional<Result<std::vector<uint8_t>>> got;
+      engine.Get(key, [&](Result<std::vector<uint8_t>> r) { got = std::move(r); });
+      machine.RunUntilIdle();
+      ASSERT_TRUE(got.has_value()) << key;
+      Value observed;
+      if (got->ok()) {
+        observed = **got;
+      } else {
+        ASSERT_EQ(got->status().code(), StatusCode::kNotFound) << key << " after cut " << cuts;
+      }
+      auto options = allowed.find(key);
+      bool ok = observed == value;
+      if (options != allowed.end()) {
+        ok = ok || std::find(options->second.begin(), options->second.end(), observed) !=
+                       options->second.end();
+      }
+      ASSERT_TRUE(ok) << key << " lost its newest acked value after cut " << cuts;
+      value = observed;
+    }
+  };
+
+  for (int round = 0; round < 150; ++round) {
+    // At most one op per key per round, so two ops on a key never race.
+    std::vector<uint64_t> keys(kKeys);
+    for (uint64_t i = 0; i < kKeys; ++i) {
+      keys[i] = i;
+    }
+    bool cut = rng.NextBelow(4) == 0;
+    if (cut && rng.NextBool(0.5)) {
+      // Aim half the cuts at a compaction, with the burst queued behind it
+      // (a no-op when one is already running).
+      engine.CompactNow([](Status) {});
+    }
+    uint64_t burst = rng.NextInRange(1, 8);
+    std::map<std::string, Value> effect;
+    std::map<std::string, std::optional<Status>> answer;
+    for (uint64_t n = 0; n < burst; ++n) {
+      uint64_t pick = n + rng.NextBelow(kKeys - n);
+      std::swap(keys[n], keys[pick]);
+      std::string key = key_name(keys[n]);
+      auto& slot = answer[key];
+      if (rng.NextBelow(5) == 0) {
+        effect[key] = std::nullopt;
+        engine.Delete(key, [&slot](Status s) { slot = s; });
+      } else {
+        std::vector<uint8_t> value(rng.NextInRange(64, 1024));
+        rng.Fill(value);
+        effect[key] = value;
+        engine.Put(key, std::move(value), [&slot](Status s) { slot = s; });
+      }
+    }
+    if (cut) {
+      // Programs take 400 us and a compaction of this log a few ms.
+      machine.simulator().Schedule(sim::Duration::Nanos(rng.NextBelow(4'000'000)), [&] {
+        cuts_in_compaction += engine.compacting() ? 1 : 0;
+        ssd.InjectPowerLoss();
+        machine.bus().ReportDeviceFailure(ssd.id());
+      });
+    }
+    machine.RunUntilIdle();
+
+    std::map<std::string, std::vector<Value>> allowed;
+    for (const auto& [key, status] : answer) {
+      ASSERT_TRUE(status.has_value()) << key << " never answered in round " << round;
+      // A DELETE of an absent key answers NotFound and changes nothing.
+      if (status->ok() || status->code() == StatusCode::kNotFound) {
+        acked[key] = effect[key];
+      } else {
+        ASSERT_TRUE(cut) << key << ": " << status->ToString() << " in round " << round;
+        allowed[key].push_back(effect[key]);
+      }
+    }
+    if (cut) {
+      ++cuts;
+      ASSERT_TRUE(engine.running()) << "engine did not restart after cut " << cuts;
+      ASSERT_NO_FATAL_FAILURE(verify(allowed));
+    }
+  }
+  ASSERT_NO_FATAL_FAILURE(verify({}));
+  EXPECT_GT(cuts, 10u);
+  EXPECT_GT(cuts_in_compaction, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KvsPowerCutProperty, ::testing::Values(3, 17, 256, 9001));
 
 // --- IOMMU vs flat shadow mapping -------------------------------------------------
 

@@ -918,6 +918,36 @@ TEST_F(FlashFsTest, AckedWritesSurviveRepeatedPowerCuts) {
   EXPECT_EQ(fs_.Stat("log")->size, 2 * kPageSize);
 }
 
+// An append torn by a power cut after its first page is on media leaves the
+// file at its old size. Were the first page's slice durable, a log would
+// hold a record prefix, and its recovery scan would stop there, short of
+// every record appended after the restart.
+TEST_F(FlashFsTest, TornAppendLeavesTheOldSize) {
+  ASSERT_TRUE(fs_.Create("log").ok());
+  WriteSync("log", 0, std::vector<uint8_t>(100, 0x11));
+  uint64_t programs_before = nand_.stats().GetCounter("programs").value();
+  nand_.SetProgramObserver([&](uint64_t issued) {
+    if (issued == programs_before + 2) {  // the append's second page
+      simulator_.Schedule(sim::Duration::Nanos(1), [&] {
+        fs_.PowerCut();
+        ftl_.PowerCut();
+      });
+    }
+  });
+  std::optional<Result<uint64_t>> appended;
+  fs_.Append("log", std::vector<uint8_t>(2 * kPageSize, 0x22),
+             [&](Result<uint64_t> r) { appended = r; });
+  simulator_.Run();
+  nand_.SetProgramObserver(nullptr);
+  ASSERT_TRUE(appended.has_value());
+  EXPECT_EQ(appended->status().code(), StatusCode::kUnavailable);
+  ftl_.Recover();
+  fs_.Recover();
+  simulator_.Run();
+  EXPECT_EQ(fs_.Stat("log")->size, 100u);
+  EXPECT_EQ(ReadSync("log", 0, kPageSize), std::vector<uint8_t>(100, 0x11));
+}
+
 TEST_F(FlashFsTest, AclGovernsAccess) {
   FileAcl acl;
   acl.owner = "alice";
