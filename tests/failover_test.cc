@@ -324,6 +324,151 @@ TEST(PartitionTolerance, SegmentLocalTrafficProceedsCrossSegmentSpills) {
   EXPECT_NE(std::find(owners.begin(), owners.end(), 1u), owners.end());
 }
 
+// --- sharded ops: spill and retry budget ---------------------------------------
+//
+// Every ShardedControlClient op spills to its next target on a full, offline
+// or unreachable shard and retries the whole op after a 50 us back-off when
+// every target bounced, at most 20 times. These pin the exact simulated
+// outcome of each op kind.
+
+TEST(ShardedOps, AllocBatchSpillsPastAFullHomeShard) {
+  core::MachineConfig config;
+  config.topology.segments = 2;
+  config.memory_bytes = 64 * kPageSize;  // 32 frames per shard
+  core::Machine machine(std::move(config));
+  auto shards = machine.AddMemoryControllerShards(2);
+  auto& seg0 = machine.EmplaceOn<Stub>(0, "seg0-stub");
+  machine.Boot();
+
+  core::ShardedControlClient client(&seg0, machine.shard_infos(),
+                                    core::AllocationPolicy::kHomeNode);
+  Pasid pasid = machine.NewApplication("app");
+  auto full = client.AllocBatchSync(pasid, 4 * kPageSize, 8);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  for (VirtAddr va : *full) {
+    EXPECT_EQ(memdev::ShardForVa(va, 2), 0u);
+  }
+  // The home shard has no frame left: the batch spills whole to shard 1.
+  auto spilled = client.AllocBatchSync(pasid, 4 * kPageSize, 2);
+  ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
+  for (VirtAddr va : *spilled) {
+    EXPECT_EQ(memdev::ShardForVa(va, 2), 1u);
+  }
+  EXPECT_EQ(client.spills(), 1u);
+  EXPECT_EQ(client.op_retries(), 0u);
+  EXPECT_EQ(client.lease_count(), 10u);
+  EXPECT_EQ(shards[0]->allocation_count(), 8u);
+  EXPECT_EQ(shards[1]->allocation_count(), 2u);
+}
+
+TEST(ShardedOps, EveryOpGivesUpAfterTheRetryBudget) {
+  // The only shard dies for good at 500 us. Each op kind retries 20 times
+  // and then surfaces kUnavailable: first the dead endpoint's bounce (alloc)
+  // or the bus's (grant, free, routed by address); once the supervisor has
+  // quarantined the shard, no candidate is left at all.
+  core::MachineConfig config;
+  sim::CrashSpec kill;
+  kill.device = MakeSegmentDeviceId(0, 1).value();
+  kill.at = sim::Duration::Micros(500);
+  kill.respawn = Respawn::kNever;
+  config.crash_plan.crashes = {kill};
+
+  core::Machine machine(std::move(config));
+  auto shards = machine.AddMemoryControllerShards(1);
+  auto& stub = machine.Emplace<Stub>();
+  auto& peer = machine.Emplace<Stub>("peer");
+  ASSERT_EQ(shards[0]->id(), MakeSegmentDeviceId(0, 1));
+  machine.Boot();
+
+  core::ShardedControlClient client(&stub, machine.shard_infos());
+  Pasid pasid = machine.NewApplication("app");
+  auto va = client.AllocSync(pasid, 4 * kPageSize);
+  ASSERT_TRUE(va.ok());
+  machine.RunFor(sim::Duration::Micros(520));
+
+  auto now = [&machine] { return machine.simulator().Now().nanos(); };
+  auto alloc = client.AllocSync(pasid, 4 * kPageSize);
+  ASSERT_FALSE(alloc.ok());
+  EXPECT_EQ(alloc.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(alloc.status().message(), "destination not alive");
+  EXPECT_EQ(now(), 1'582'127u);
+
+  Status granted =
+      client.GrantSync(pasid, *va, 4 * kPageSize, peer.id(), Access::kRead).status();
+  EXPECT_EQ(granted.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(granted.message(), "no memory controller");
+  EXPECT_EQ(now(), 2'592'102u);
+
+  Status freed = client.FreeSync(pasid, *va, 4 * kPageSize).status();
+  EXPECT_EQ(freed.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(freed.message(), "no memory controller");
+  EXPECT_EQ(now(), 3'602'014u);
+  EXPECT_EQ(client.lease_count(), 1u);  // a failed free keeps the lease
+
+  ASSERT_TRUE(machine.bus().supervisor().IsQuarantined(shards[0]->id()));
+  uint64_t issued = now();
+  auto batch = client.AllocBatchSync(pasid, 4 * kPageSize, 2);
+  ASSERT_FALSE(batch.ok());
+  EXPECT_EQ(batch.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(batch.status().message(), "no live memory shards");
+  EXPECT_EQ(now(), 4'602'014u);
+  EXPECT_EQ(now() - issued, 20 * sim::Duration::Micros(50).nanos());
+
+  machine.RunFor(sim::Duration::Millis(5));
+  auto late = client.AllocSync(pasid, 4 * kPageSize);
+  ASSERT_FALSE(late.ok());
+  EXPECT_EQ(late.status().message(), "no live memory shards");
+  EXPECT_EQ(now(), 10'602'014u);
+
+  EXPECT_EQ(client.op_retries(), 100u);
+  EXPECT_EQ(client.spills(), 0u);
+}
+
+TEST(ShardedOps, GrantAndFreeRideOutAPartition) {
+  // The client's region lives on the seg-1 shard, and segments 0 and 1 are
+  // cut from 400 to 900 us. A grant issued inside the window bounces
+  // kPartitioned at the router and retries until the heal; the free that
+  // follows goes straight through.
+  core::MachineConfig config;
+  config.topology.segments = 2;
+  sim::PartitionSpec spec;
+  spec.segment_a = 0;
+  spec.segment_b = 1;
+  spec.start = sim::Duration::Micros(400);
+  spec.heal = sim::Duration::Micros(900);
+  config.fault_plan.partitions = {spec};
+
+  core::Machine machine(std::move(config));
+  auto shards = machine.AddMemoryControllerShards(2);
+  auto& seg0 = machine.EmplaceOn<Stub>(0, "seg0-stub");
+  auto& seg1 = machine.EmplaceOn<Stub>(1, "seg1-stub");
+  machine.Boot();
+
+  core::ShardedControlClient client(&seg0, machine.shard_infos(),
+                                    core::AllocationPolicy::kInterleave);
+  Pasid pasid = machine.NewApplication("app");
+  auto home = client.AllocSync(pasid, 4 * kPageSize);
+  auto remote = client.AllocSync(pasid, 4 * kPageSize);
+  ASSERT_TRUE(home.ok());
+  ASSERT_TRUE(remote.ok());
+  ASSERT_EQ(memdev::ShardForVa(*remote, 2), 1u);
+  machine.RunFor(sim::Duration::Micros(450));  // inside the partition window
+
+  auto now = [&machine] { return machine.simulator().Now().nanos(); };
+  ASSERT_TRUE(client.GrantSync(pasid, *remote, 4 * kPageSize, seg1.id(), Access::kRead).ok());
+  EXPECT_EQ(now(), 910'852u);
+  EXPECT_EQ(client.op_retries(), 8u);
+  EXPECT_EQ(shards[1]->GrantsHeldBy(seg1.id()), 1u);
+
+  ASSERT_TRUE(client.FreeSync(pasid, *remote, 4 * kPageSize).ok());
+  EXPECT_EQ(now(), 913'580u);
+  EXPECT_EQ(client.op_retries(), 8u);
+  EXPECT_EQ(client.spills(), 0u);
+  EXPECT_EQ(client.lease_count(), 1u);
+  EXPECT_EQ(shards[1]->allocation_count(), 0u);
+  EXPECT_EQ(shards[1]->GrantsHeldBy(seg1.id()), 0u);
+}
+
 // --- chaos schedules ----------------------------------------------------------
 
 struct ChaosOutcome {
