@@ -33,20 +33,20 @@ constexpr Entry kTable[] = {
     {"ChaosSoak/ssd-power-cut-mid-gc", 0x5ec139c45e62efe1ull},
     {"ChaosSoak/ssd-power-cut-double", 0x63740e51228976ebull},
     {"ChaosSoak/magazine-holder-never-returns", 0x9370856ef47241efull},
-    {"ChaosSoak/ssd-transient/batched", 0xd50346bb4c74b212ull},
-    {"ChaosSoak/ssd-crash-loop-then-recover/batched", 0x62881bf0d95d9e3eull},
-    {"ChaosSoak/ssd-never-returns/batched", 0xbd68ebf63c5b9800ull},
-    {"ChaosSoak/ssd-dies-in-boot-self-test/batched", 0x4fb10429b6c201aaull},
-    {"ChaosSoak/ssd-dies-mid-session-setup/batched", 0x6fa15cb0c6a7ece7ull},
+    {"ChaosSoak/ssd-transient/batched", 0x65a042045f27f99cull},
+    {"ChaosSoak/ssd-crash-loop-then-recover/batched", 0x5d603d7b5f68125cull},
+    {"ChaosSoak/ssd-never-returns/batched", 0x16d39dd9abb853e9ull},
+    {"ChaosSoak/ssd-dies-in-boot-self-test/batched", 0x0574f977b2f6f698ull},
+    {"ChaosSoak/ssd-dies-mid-session-setup/batched", 0x23d499ba5fa7e018ull},
     {"ChaosSoak/ssd-dies-early-never-returns/batched", 0xdbd5af9675fb4c4bull},
-    {"ChaosSoak/ssd-dies-again-during-kvs-recovery/batched", 0xf2d88142ea78023aull},
-    {"ChaosSoak/nic-transient/batched", 0x18694629d25c55c9ull},
-    {"ChaosSoak/memctrl-transient/batched", 0xce0bc9acdaea9611ull},
-    {"ChaosSoak/ssd-crash-loops-into-quarantine/batched", 0x3e0274ceb4ec6c6dull},
-    {"ChaosSoak/ssd-power-cut-transient/batched", 0x6c4ed9abe722bfa0ull},
-    {"ChaosSoak/ssd-power-cut-mid-gc/batched", 0xd9cbfd88f20db9bfull},
-    {"ChaosSoak/ssd-power-cut-double/batched", 0x08e525777e99cd16ull},
-    {"ChaosSoak/magazine-holder-never-returns/batched", 0x820d867cdf0b1c61ull},
+    {"ChaosSoak/ssd-dies-again-during-kvs-recovery/batched", 0x986bd9d832bfd0a6ull},
+    {"ChaosSoak/nic-transient/batched", 0x504909a4326d637full},
+    {"ChaosSoak/memctrl-transient/batched", 0xc0a18e3ebfadb40dull},
+    {"ChaosSoak/ssd-crash-loops-into-quarantine/batched", 0x67071fadbd174703ull},
+    {"ChaosSoak/ssd-power-cut-transient/batched", 0x3340c36d2f6e61bdull},
+    {"ChaosSoak/ssd-power-cut-mid-gc/batched", 0x4808aec4ac41020eull},
+    {"ChaosSoak/ssd-power-cut-double/batched", 0x7e4d0153070677bfull},
+    {"ChaosSoak/magazine-holder-never-returns/batched", 0x577bc0a07355f0fcull},
     {"RackChaos.ShardKillQuarantinesReclaimsAndRerunsByteIdentical", 0x8be62fb14d1a8a73ull},
     {"RackChaos.ShardRestartMidBurstRerunsByteIdentical", 0x8c4c77de474134faull},
     {"RackChaos.PartitionThenHealReconcilesByteIdentical", 0x631ad04fc3c139f1ull},
