@@ -321,15 +321,10 @@ struct BurstResult {
 
 BurstResult RunBurst(bool batched) {
   core::MachineConfig machine_config;
-  kvs::KvsAppConfig app_config;
-  ssddev::SmartSsdConfig ssd_config;
-  ssd_config.host_auth_service = false;
   if (batched) {
-    machine_config.fabric.doorbell_coalesce_window = kBatchWindow;
-    app_config.engine.file_client.submit_batch_window = kBatchWindow;
-    ssd_config.file_service.completion_batch_window = kBatchWindow;
+    machine_config.fabric.batch_window = kBatchWindow;
   }
-  KvsRig rig = KvsRig::Build(machine_config, app_config, ssd_config);
+  KvsRig rig = KvsRig::Build(machine_config, kvs::KvsAppConfig{});
   rig.Preload(kBurstKeys, kBurstValueBytes);
 
   sim::StatsSnapshot fabric_before = rig.machine->fabric().stats().Snapshot();

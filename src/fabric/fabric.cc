@@ -337,7 +337,7 @@ void DoorbellBatcher::CancelPending() {
 }
 
 void DoorbellBatcher::Ring(DeviceId to, uint64_t value) {
-  sim::Duration window = fabric_->config().doorbell_coalesce_window;
+  sim::Duration window = fabric_->config().batch_window;
   if (window == sim::Duration::Zero()) {
     fabric_->RingDoorbell(from_, to, value);
     return;

@@ -44,10 +44,13 @@ struct FabricConfig {
   sim::Duration doorbell_latency = sim::Duration::Nanos(400);
   sim::Duration mmio_latency = sim::Duration::Nanos(150);      // small read/write round trip
   sim::Duration walk_latency_per_level = sim::Duration::Nanos(80);  // page-table walk step
-  // Doorbell coalescing window for DoorbellBatcher users. Zero (the default)
-  // disables coalescing: every Ring() is one fabric doorbell, byte-identical
-  // to the unbatched model.
-  sim::Duration doorbell_coalesce_window = sim::Duration::Zero();
+  // The data-plane batching window. Zero (the default) keeps the unbatched
+  // model: every DoorbellBatcher::Ring() is one fabric doorbell, and every
+  // file request and response is one DMA write plus one doorbell. With a
+  // window, DoorbellBatcher coalesces bursts, and FileClient and FileService
+  // stage requests and completions and flush each window as one
+  // scatter-gather DMA write plus one doorbell.
+  sim::Duration batch_window = sim::Duration::Zero();
   // Extra latency a data-plane access pays when it crosses a chassis boundary
   // (the rack's inter-segment cable). Zero (the default) keeps the flat
   // single-chassis model byte-identical: no segment lookups, no extra cost.

@@ -164,15 +164,17 @@ void FileClient::Issue(FileRequestHeader header, std::vector<uint8_t> payload, P
   slots_[slot] = Slot{std::move(pending), session_, static_cast<uint32_t>(wire.size())};
   VirtAddr request_slot = layout_->RequestSlot(slot);
 
-  if (config_.submit_batch_window > sim::Duration::Zero()) {
-    // Fast path: stage the request (the slot is already claimed, so the
-    // backpressure contract is unchanged) and flush the whole batch in one
-    // scatter-gather DMA + one doorbell at window close.
+  sim::Duration window = host_->fabric()->config().batch_window;
+  if (window > sim::Duration::Zero()) {
+    // Fast path (FabricConfig::batch_window): stage the request (the slot is
+    // already claimed, so the backpressure contract is unchanged) and flush
+    // the whole batch in one scatter-gather DMA + one doorbell at window
+    // close. A burst of N requests costs 1 DMA transaction and 1 doorbell
+    // instead of N of each.
     staged_.push_back(Staged{{request_slot, std::move(wire)}, slot});
     if (!flush_.armed()) {
-      flush_ = sim::ScopedEvent(
-          host_->simulator(),
-          host_->simulator()->Schedule(config_.submit_batch_window, [this] { FlushBatch(); }));
+      flush_ = sim::ScopedEvent(host_->simulator(),
+                                host_->simulator()->Schedule(window, [this] { FlushBatch(); }));
     }
     return;
   }

@@ -36,15 +36,6 @@ struct FileClientConfig {
   // disables polling — on a healthy interconnect the doorbell always
   // arrives, and a disabled poll cannot perturb timing.
   sim::Duration completion_poll = sim::Duration::Zero();
-  // Submission-batching window (the data-plane fast path). Zero (the
-  // default) keeps the one-DMA-one-doorbell-per-request path, byte-identical
-  // to the unbatched model. With a window, requests issued within it are
-  // staged (each still claims its slot immediately, preserving the
-  // ResourceExhausted backpressure contract), then flushed as ONE
-  // scatter-gather DmaWritev of every staged request slot followed by ONE
-  // doorbell — a burst of N requests costs 1 DMA transaction and 1 doorbell
-  // instead of N of each.
-  sim::Duration submit_batch_window = sim::Duration::Zero();
 };
 
 class FileClient {
@@ -128,7 +119,7 @@ class FileClient {
     uint32_t request_len = 0;
   };
 
-  // One request staged for the next batch flush (submit_batch_window > 0),
+  // One request staged for the next batch flush (a nonzero batch window),
   // with the write that carries it into its slot.
   struct Staged {
     fabric::DmaWriteSegment write;

@@ -316,14 +316,15 @@ void FileService::CompleteChain(InstanceId instance, uint16_t head,
   DeviceId client = session->client;
   Pasid pasid = session->pasid;
 
-  if (config_.completion_batch_window > sim::Duration::Zero()) {
-    // Fast path: stage the response; the window flush writes every staged
-    // response in one scatter-gather DMA and rings the client once.
+  sim::Duration window = host_->fabric()->config().batch_window;
+  if (window > sim::Duration::Zero()) {
+    // Fast path (FabricConfig::batch_window): stage the response; the window
+    // flush writes every staged response in one scatter-gather DMA and rings
+    // the client once per session.
     session->staged.push_back(StagedCompletion{head, std::move(wire), response_slot});
     if (!session->completion_flush_scheduled) {
       session->completion_flush_scheduled = true;
-      host_->simulator()->Schedule(config_.completion_batch_window,
-                                   [this, instance] { FlushCompletions(instance); });
+      host_->simulator()->Schedule(window, [this, instance] { FlushCompletions(instance); });
     }
     return;
   }

@@ -33,12 +33,6 @@ struct FileServiceConfig {
   // Concurrent chains the firmware keeps in flight per session (commands
   // outstanding against the FTL; exploits NAND die parallelism).
   uint32_t max_in_flight = 32;
-  // Completion-batching window (the data-plane fast path). Zero (the
-  // default) writes each response and rings the client as it completes,
-  // byte-identical to the unbatched model. With a window, completions inside
-  // it are staged and flushed as ONE scatter-gather DmaWritev of every
-  // response slot plus ONE doorbell per session.
-  sim::Duration completion_batch_window = sim::Duration::Zero();
 };
 
 class FileService : public dev::Service {

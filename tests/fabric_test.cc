@@ -603,7 +603,7 @@ TEST_F(FabricTest, DoorbellBatcherWithZeroWindowPassesEveryRingThrough) {
 
 TEST_F(FabricTest, DoorbellBatcherCoalescesBurstsToAtMostTwo) {
   FabricConfig config;
-  config.doorbell_coalesce_window = sim::Duration::Micros(2);
+  config.batch_window = sim::Duration::Micros(2);
   Fabric fabric(&simulator_, &memory_, config);
   iommu::Iommu iommu(DeviceId(1));
   fabric.AttachDevice(DeviceId(1), &iommu);
@@ -632,7 +632,7 @@ TEST_F(FabricTest, DoorbellBatcherCoalescesBurstsToAtMostTwo) {
 
 TEST_F(FabricTest, DoorbellBatcherCancelPendingDropsTrailingEdge) {
   FabricConfig config;
-  config.doorbell_coalesce_window = sim::Duration::Micros(2);
+  config.batch_window = sim::Duration::Micros(2);
   Fabric fabric(&simulator_, &memory_, config);
   iommu::Iommu iommu(DeviceId(1));
   fabric.AttachDevice(DeviceId(1), &iommu);
