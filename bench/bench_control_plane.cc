@@ -63,8 +63,7 @@ void RunDecentralized(benchmark::State& state, size_t devices, bool batched,
       clients.push_back(std::make_unique<core::BusControlClient>(stubs[i], memctrl.id()));
       core::ControlClient* client = clients.back().get();
       if (batched) {
-        magazines.push_back(std::make_unique<core::MagazineClient>(
-            client, core::MagazineConfig{}, stubs[i], memctrl.id()));
+        magazines.push_back(std::make_unique<core::MagazineClient>(client, stubs[i], memctrl.id()));
         client = magazines.back().get();
       }
       per_client.push_back({client, Pasid(static_cast<uint32_t>(i + 1))});
@@ -148,7 +147,7 @@ void RunCentralized(benchmark::State& state, size_t devices, uint32_t cores, boo
         // No host device in the kernel rig: the magazine refills through
         // lease_batch syscalls (one interrupt for N mappings), which is what
         // keeps the batched comparison fair across designs.
-        magazines.push_back(std::make_unique<core::MagazineClient>(client, core::MagazineConfig{}));
+        magazines.push_back(std::make_unique<core::MagazineClient>(client));
         client = magazines.back().get();
       }
       per_client.push_back({client, Pasid(static_cast<uint32_t>(i + 1))});

@@ -197,7 +197,7 @@ int main(int argc, char** argv) {
   // hot loop costs near-zero bus messages per op.
   Pasid looped = machine.NewApplication("quickstart-hotloop");
   core::BusControlClient bus_client(&producer, memctrl.id());
-  core::MagazineClient magazine(&bus_client, core::MagazineConfig{}, &producer, memctrl.id());
+  core::MagazineClient magazine(&bus_client, &producer, memctrl.id());
   uint64_t bus_before = machine.bus().stats().GetCounter("messages_delivered").value();
   for (int i = 0; i < 32; ++i) {
     auto lease = magazine.AllocSync(looped, 16 << 10);

@@ -80,8 +80,8 @@ std::vector<memdev::MemoryController*> Machine::AddMemoryControllerShards(uint32
     shard_config.segment = segment;
     auto device = std::make_unique<memdev::MemoryController>(NextDeviceId(segment), Context(),
                                                              &memory_, shard_config);
-    shard_infos_.push_back(ShardInfo{device->id(), segment, shard_config.va_base,
-                                     shard_config.va_limit, share * kPageSize});
+    shard_infos_.push_back(
+        ShardInfo{device->id(), segment, shard_config.va_base, shard_config.va_limit});
     fabric_.SetSegmentForFrames(frame_base, share, segment);
     shard_controllers_.push_back(device.get());
     out.push_back(device.get());

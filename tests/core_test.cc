@@ -488,9 +488,7 @@ struct MagazineRig {
     inner = std::make_unique<BusControlClient>(&requester, memctrl->id());
   }
 
-  MagazineClient MakeMagazine(MagazineConfig config) {
-    return MagazineClient(inner.get(), config, &requester, memctrl->id());
-  }
+  MagazineClient MakeMagazine() { return MagazineClient(inner.get(), &requester, memctrl->id()); }
 
   uint64_t BusMessages() {
     return machine.bus().stats().GetCounter("messages_delivered").value();
@@ -563,31 +561,31 @@ TEST(ControlBatchTest, FreeBatchRejectsForeignRegions) {
 
 TEST(MagazineTest, FirstMissRefillsThenHitsLocally) {
   MagazineRig rig;
-  MagazineConfig config;
-  config.refill_batch = 8;
-  config.low_watermark = 0;  // no background refill: isolate the hit path
-  MagazineClient magazine = rig.MakeMagazine(config);
+  MagazineClient magazine = rig.MakeMagazine();
 
   auto first = magazine.AllocSync(rig.app, 4 * kPageSize);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_EQ(magazine.misses(), 1u);
   EXPECT_EQ(magazine.refills(), 1u);
-  EXPECT_EQ(magazine.cached_regions(), 7u);  // batch of 8 minus the waiter
+  EXPECT_EQ(magazine.cached_regions(), 31u);  // batch of 32 minus the waiter
 
+  // 23 hits leave 8 cached: down to the low watermark, not below it, so no
+  // background refill starts and the hit path runs alone.
   uint64_t before = rig.BusMessages();
-  for (int i = 0; i < 7; ++i) {
+  sim::SimTime start = rig.machine.simulator().Now();
+  for (int i = 0; i < 23; ++i) {
     ASSERT_TRUE(magazine.AllocSync(rig.app, 4 * kPageSize).ok());
   }
-  EXPECT_EQ(magazine.hits(), 7u);
+  EXPECT_EQ(magazine.hits(), 23u);
+  EXPECT_EQ(magazine.refills(), 1u);
+  EXPECT_EQ(magazine.cached_regions(), 8u);
   EXPECT_EQ(rig.BusMessages(), before);  // local hits: zero bus traffic
+  EXPECT_EQ(rig.machine.simulator().Now() - start, sim::Duration::Nanos(23 * 40));
 }
 
 TEST(MagazineTest, FreeRecyclesTheRegionStillMapped) {
   MagazineRig rig;
-  MagazineConfig config;
-  config.refill_batch = 4;
-  config.low_watermark = 1;
-  MagazineClient magazine = rig.MakeMagazine(config);
+  MagazineClient magazine = rig.MakeMagazine();
 
   auto vaddr = magazine.AllocSync(rig.app, 4 * kPageSize);
   ASSERT_TRUE(vaddr.ok());
@@ -601,31 +599,26 @@ TEST(MagazineTest, FreeRecyclesTheRegionStillMapped) {
 
 TEST(MagazineTest, DrainsBackToCapacityAboveHighWatermark) {
   MagazineRig rig;
-  MagazineConfig config;
-  config.refill_batch = 2;
-  config.capacity = 2;
-  config.low_watermark = 1;
-  config.high_watermark = 4;
-  MagazineClient magazine = rig.MakeMagazine(config);
+  MagazineClient magazine = rig.MakeMagazine();
 
   // Lease regions out-of-band, then free them all through the magazine: the
-  // stock climbs past the high watermark and a FreeBatch drain trims it.
-  auto leased = rig.inner->AllocBatchSync(rig.app, 4 * kPageSize, 6);
+  // 65th pushes the stock past the high watermark of 64, and one FreeBatch
+  // drain trims it back to the capacity of 32.
+  auto leased = rig.inner->AllocBatchSync(rig.app, 4 * kPageSize, 65);
   ASSERT_TRUE(leased.ok());
   for (VirtAddr vaddr : *leased) {
     ASSERT_TRUE(magazine.FreeSync(rig.app, vaddr, 4 * kPageSize).ok());
   }
   rig.machine.RunUntilIdle();  // let the in-flight FreeBatch drain settle
-  EXPECT_GE(magazine.drains(), 1u);
-  EXPECT_LE(magazine.cached_regions(), config.high_watermark);
+  EXPECT_EQ(magazine.drains(), 1u);
+  EXPECT_EQ(magazine.drain_failures(), 0u);
+  EXPECT_EQ(magazine.cached_regions(), 32u);
   EXPECT_EQ(rig.memctrl->allocation_count(), magazine.cached_regions());
 }
 
 TEST(MagazineTest, FlushSettlesTheWholeLease) {
   MagazineRig rig;
-  MagazineConfig config;
-  config.refill_batch = 8;
-  MagazineClient magazine = rig.MakeMagazine(config);
+  MagazineClient magazine = rig.MakeMagazine();
   ASSERT_TRUE(magazine.AllocSync(rig.app, 4 * kPageSize).ok());
   ASSERT_TRUE(magazine.AllocSync(rig.app, 2 * kPageSize).ok());  // second size class
   EXPECT_GT(magazine.cached_regions(), 0u);
