@@ -641,10 +641,18 @@ void SystemBus::ReportDeviceFailure(DeviceId device) {
   stats_.GetCounter("device_failures").Increment();
   Trace("device-failed", failed->name);
 
-  // Notify surviving devices (Sec. 4). On a flat bus that is everyone; on a
-  // segmented rack the notice stays in the failed device's broadcast domain —
-  // plus every resource controller machine-wide, so cross-segment grants are
-  // still reclaimed — unless a controller itself failed (see above).
+  // Notify surviving devices (Sec. 4).
+  NotifyFailure(device, controller_failed, proto::DeviceFailed{device});
+  // The supervisor decides when (and how often) to pulse the reset line.
+  supervisor_.OnFailure(device, failed->name);
+}
+
+void SystemBus::NotifyFailure(DeviceId device, bool controller_failed,
+                              const proto::Payload& payload) {
+  // On a flat bus that is everyone; on a segmented rack the notice stays in
+  // the failed device's broadcast domain — plus every resource controller
+  // machine-wide, so cross-segment grants are still reclaimed — unless a
+  // controller itself failed, which concerns the whole machine.
   uint32_t failed_segment = SegmentIndex(device);
   for (auto& [id, endpoint] : endpoints_) {
     if (id == device || !endpoint.liveness.alive) {
@@ -659,7 +667,7 @@ void SystemBus::ReportDeviceFailure(DeviceId device) {
     proto::Message notice;
     notice.src = kBusDevice;
     notice.dst = id;
-    notice.payload = proto::DeviceFailed{device};
+    notice.payload = payload;
     broadcast_msgs_.Increment();
     if (config_.segments > 1) {
       segment_counters_[SegmentIndex(id)].broadcast_copies++;
@@ -670,8 +678,6 @@ void SystemBus::ReportDeviceFailure(DeviceId device) {
       DeliverTraced(std::move(notice), 0);
     });
   }
-  // The supervisor decides when (and how often) to pulse the reset line.
-  supervisor_.OnFailure(device, failed->name);
 }
 
 void SystemBus::PulseReset(DeviceId device) {
@@ -703,32 +709,8 @@ void SystemBus::QuarantineDevice(DeviceId device, const std::string& reason) {
   // segment-local on a rack, plus controllers machine-wide (they may hold
   // cross-segment grants from the dead device), and machine-wide when the
   // quarantined device is itself a controller.
-  bool controller_failed = memory_controller_ == device || IsShardController(device);
-  uint32_t failed_segment = SegmentIndex(device);
-  for (auto& [id, endpoint] : endpoints_) {
-    if (id == device || !endpoint.liveness.alive) {
-      continue;
-    }
-    bool cross_segment = config_.segments > 1 && SegmentIndex(id) != failed_segment;
-    if (cross_segment && !controller_failed && id != memory_controller_ &&
-        !IsShardController(id)) {
-      stats_.GetCounter("failure_notices_suppressed").Increment();
-      continue;
-    }
-    proto::Message notice;
-    notice.src = kBusDevice;
-    notice.dst = id;
-    notice.payload = proto::DevicePermanentlyFailed{device, reason};
-    broadcast_msgs_.Increment();
-    if (config_.segments > 1) {
-      segment_counters_[SegmentIndex(id)].broadcast_copies++;
-    }
-    auto delay =
-        cross_segment ? config_.base_latency + config_.inter_segment_latency : config_.base_latency;
-    simulator_->Schedule(delay, [this, notice = std::move(notice)]() mutable {
-      DeliverTraced(std::move(notice), 0);
-    });
-  }
+  NotifyFailure(device, memory_controller_ == device || IsShardController(device),
+                proto::DevicePermanentlyFailed{device, reason});
   // Shard takeover: repoint every VA slab the quarantined shard owned at the
   // first surviving shard (directory order = ascending va_base). The
   // successor rebuilds the slab's allocation and grant tables from client

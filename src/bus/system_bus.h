@@ -260,6 +260,11 @@ class SystemBus {
   void PulseReset(DeviceId device);
   void QuarantineDevice(DeviceId device, const std::string& reason);
 
+  // Sends a copy of `payload`, a failure notice about `device`, to every live
+  // device that must hear of it, in endpoints_ order. `controller_failed`
+  // widens a rack's segment-scoped notice to the whole machine.
+  void NotifyFailure(DeviceId device, bool controller_failed, const proto::Payload& payload);
+
   // Releases a reorder-held message so it routes at `at` (just after the
   // message that overtook it).
   void ReleaseHeld(sim::SimTime at);
