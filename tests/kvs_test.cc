@@ -358,6 +358,30 @@ TEST_F(KvsMachineTest, ServesNetworkClients) {
   EXPECT_EQ(nic_->requests_handled(), 200u);
 }
 
+TEST_F(KvsMachineTest, DeepGetLoadIsNotBoundByTheNicLink) {
+  // 64 outstanding GETs keep the SSD file service busy, and 2,000 of them
+  // take about 5 ms. Were the NIC's link held for each response's 5 us
+  // flight, they would need at least 2,000 x 5.03 us.
+  constexpr uint64_t kKeys = 100;
+  for (uint64_t i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(PutSync(WorkloadGenerator::KeyFor(i), std::vector<uint8_t>(256)).ok());
+  }
+  WorkloadConfig workload;
+  workload.num_keys = kKeys;
+  workload.get_fraction = 1.0;
+  workload.value_bytes = 256;
+  LoadClient client(&machine_.simulator(), &machine_.network(), nic_->endpoint(), workload, 64);
+  sim::SimTime start = machine_.simulator().Now();
+  std::optional<sim::SimTime> finished;
+  client.Start(2000, [&] { finished = machine_.simulator().Now(); });
+  machine_.RunUntilIdle();
+  ASSERT_TRUE(finished.has_value());
+  EXPECT_EQ(client.completed(), 2000u);
+  EXPECT_EQ(client.errors(), 0u);
+  EXPECT_LT(*finished - start, sim::Duration::Millis(6))
+      << (*finished - start).nanos() << " ns";
+}
+
 TEST_F(KvsMachineTest, IndexRebuiltByRecoveryScan) {
   ASSERT_TRUE(PutSync("alpha", {1}).ok());
   ASSERT_TRUE(PutSync("beta", {2, 2}).ok());
