@@ -59,7 +59,7 @@ sim::SimTime SmartNic::OccupyCore(sim::Duration cost) {
 void SmartNic::OnDatagram(net::EndpointId from, std::vector<uint8_t> payload) {
   if (state() != State::kAlive || app_ == nullptr || !app_ready_) {
     ++requests_dropped_;
-    stats().GetCounter("datagrams_dropped").Increment();
+    datagrams_dropped_->Increment();
     return;
   }
   // Parse + dispatch on an embedded core.
@@ -70,7 +70,7 @@ void SmartNic::OnDatagram(net::EndpointId from, std::vector<uint8_t> payload) {
       return;
     }
     ++requests_handled_;
-    stats().GetCounter("requests").Increment();
+    requests_->Increment();
     app_->HandleRequest(std::move(payload), [this, from](std::vector<uint8_t> response) {
       if (state() != State::kAlive) {
         return;  // died before responding

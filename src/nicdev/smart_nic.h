@@ -86,6 +86,10 @@ class SmartNic : public dev::Device {
   std::vector<sim::SimTime> core_busy_until_;
   uint64_t requests_handled_ = 0;
   uint64_t requests_dropped_ = 0;
+  // Per-datagram counters, by handle: each enters the registry at its first
+  // use, as a name lookup at that point would.
+  sim::LazyCounter requests_{&stats(), "requests"};
+  sim::LazyCounter datagrams_dropped_{&stats(), "datagrams_dropped"};
 };
 
 }  // namespace lastcpu::nicdev
