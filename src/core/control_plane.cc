@@ -45,6 +45,12 @@ bool Retryable(const Status& status) {
          status.code() == StatusCode::kPartitioned;
 }
 
+// A grant or free names one region, and the bus routes it to the shard that
+// owns it; every other sharded op names its target shards itself.
+template <typename Request>
+constexpr bool kRoutedByBus = std::is_same_v<Request, proto::GrantRequest> ||
+                              std::is_same_v<Request, proto::MemFreeRequest>;
+
 // Grant-magazine sizing: regions per AllocBatch refill, the stock a drain
 // trims back down to, the stock below which a refill starts and above which
 // a drain starts, and the modeled cost of a local hit (magazine bookkeeping
@@ -375,14 +381,22 @@ std::vector<size_t> ShardedControlClient::CandidateOrder() {
   return order;
 }
 
+std::vector<size_t> ShardedControlClient::Targets(const proto::MemFreeBatchRequest& request) {
+  Shard* owner = request.vaddrs.empty() ? nullptr : ShardForVa(request.vaddrs.front());
+  if (owner == nullptr || !owner->alive) {
+    return {};
+  }
+  return {static_cast<size_t>(owner - shards_.data())};
+}
+
 template <typename Response, typename Request, typename OnOk, typename T>
 void ShardedControlClient::Run(const Request& request, uint32_t retries, OnOk on_ok,
                                Callback<T> done) {
   // An empty order sends a grant or free to the bus, which routes it by
-  // address; an allocation needs a live candidate shard.
+  // address; every other op needs a live target shard.
   std::vector<size_t> order;
-  if constexpr (!std::is_void_v<Response>) {
-    order = CandidateOrder();
+  if constexpr (!kRoutedByBus<Request>) {
+    order = Targets(request);
     if (order.empty()) {
       if (retries < kMaxOpRetries) {
         ++op_retries_;
@@ -490,9 +504,10 @@ void ShardedControlClient::Free(Pasid pasid, VirtAddr vaddr, uint64_t bytes,
 
 void ShardedControlClient::FreeBatch(Pasid pasid, std::vector<VirtAddr> vaddrs, uint64_t bytes,
                                      Callback<void> done) {
-  // Regions in one drain may belong to different shards (interleave policy):
-  // group by owner and issue one direct batch per shard, like the flat
-  // client's direct-to-controller batches.
+  // Regions in one drain may belong to different shards (interleave policy),
+  // and the bus cannot route a batch by address: group them by owner and
+  // send each group to its shard as one batch, like the flat client's
+  // direct-to-controller batches. A group retries as a free does.
   std::map<DeviceId, std::vector<VirtAddr>> per_shard;
   for (VirtAddr vaddr : vaddrs) {
     Shard* shard = ShardForVa(vaddr);
@@ -506,17 +521,14 @@ void ShardedControlClient::FreeBatch(Pasid pasid, std::vector<VirtAddr> vaddrs, 
     return;
   }
   for (auto& [device, group] : per_shard) {
-    std::vector<VirtAddr> freed = group;
-    requester_->rpc().Call<void>(
-        device, proto::MemFreeBatchRequest{pasid, std::move(group), bytes},
-        [this, join, freed = std::move(freed)](Result<void> result) {
-          if (result.ok()) {
-            for (VirtAddr vaddr : freed) {
-              leases_.erase(vaddr.raw);
-            }
+    Run<void>(
+        proto::MemFreeBatchRequest{pasid, std::move(group), bytes}, 0,
+        [this](const proto::MemFreeBatchRequest& request) {
+          for (VirtAddr vaddr : request.vaddrs) {
+            leases_.erase(vaddr.raw);
           }
-          join->Complete(result.status());
-        });
+        },
+        Callback<void>([join](Result<void> result) { join->Complete(result.status()); }));
   }
 }
 

@@ -155,10 +155,17 @@ class ShardedControlClient : public ControlClient {
   Shard* ShardForVa(VirtAddr vaddr);
   bool IsShardDevice(DeviceId device) const;
 
-  // The one path of Alloc, AllocBatch, Grant and Free. Run picks the
-  // targets: an allocation tries the policy's candidate shards in order; a
-  // grant or free (Response = void) names an existing region and goes to the
-  // bus, which routes it to the owning shard by address. Send issues the
+  // The shards an op goes to, in the order to try them, re-resolved each
+  // time the op runs; empty when no live shard can take it. An allocation
+  // tries the policy's candidate shards; a batch free goes to the shard that
+  // owns its regions.
+  std::vector<size_t> Targets(const proto::MemAllocRequest&) { return CandidateOrder(); }
+  std::vector<size_t> Targets(const proto::MemAllocBatchRequest&) { return CandidateOrder(); }
+  std::vector<size_t> Targets(const proto::MemFreeBatchRequest& request);
+
+  // The one path of every op. Run picks the targets: a grant or free names
+  // one existing region and goes to the bus, which routes it to the owning
+  // shard by address; every other op goes to its Targets. Send issues the
   // request to shard order[attempt], or to the bus when `order` is empty. A
   // full, offline or unreachable target spills the request to the next one;
   // when every target bounced, the whole op runs again after a back-off, a

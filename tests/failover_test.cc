@@ -424,11 +424,8 @@ TEST(ShardedOps, EveryOpGivesUpAfterTheRetryBudget) {
   EXPECT_EQ(client.spills(), 0u);
 }
 
-TEST(ShardedOps, GrantAndFreeRideOutAPartition) {
-  // The client's region lives on the seg-1 shard, and segments 0 and 1 are
-  // cut from 400 to 900 us. A grant issued inside the window bounces
-  // kPartitioned at the router and retries until the heal; the free that
-  // follows goes straight through.
+// Two segments, cut from each other from 400 to 900 us.
+core::MachineConfig PartitionedPairConfig() {
   core::MachineConfig config;
   config.topology.segments = 2;
   sim::PartitionSpec spec;
@@ -437,8 +434,15 @@ TEST(ShardedOps, GrantAndFreeRideOutAPartition) {
   spec.start = sim::Duration::Micros(400);
   spec.heal = sim::Duration::Micros(900);
   config.fault_plan.partitions = {spec};
+  return config;
+}
 
-  core::Machine machine(std::move(config));
+TEST(ShardedOps, GrantAndFreeRideOutAPartition) {
+  // The client's region lives on the seg-1 shard, and segments 0 and 1 are
+  // cut from 400 to 900 us. A grant issued inside the window bounces
+  // kPartitioned at the router and retries until the heal; the free that
+  // follows goes straight through.
+  core::Machine machine(PartitionedPairConfig());
   auto shards = machine.AddMemoryControllerShards(2);
   auto& seg0 = machine.EmplaceOn<Stub>(0, "seg0-stub");
   auto& seg1 = machine.EmplaceOn<Stub>(1, "seg1-stub");
@@ -467,6 +471,38 @@ TEST(ShardedOps, GrantAndFreeRideOutAPartition) {
   EXPECT_EQ(client.lease_count(), 1u);
   EXPECT_EQ(shards[1]->allocation_count(), 0u);
   EXPECT_EQ(shards[1]->GrantsHeldBy(seg1.id()), 0u);
+}
+
+TEST(ShardedOps, FreeBatchRidesOutAPartition) {
+  // One batch frees a region on each shard inside the partition window. The
+  // bus cannot route a batch by address, so each shard gets its own group:
+  // the seg-0 group frees at once, and the seg-1 group bounces kPartitioned
+  // and retries at its owning shard until the heal.
+  core::Machine machine(PartitionedPairConfig());
+  auto shards = machine.AddMemoryControllerShards(2);
+  auto& seg0 = machine.EmplaceOn<Stub>(0, "seg0-stub");
+  machine.EmplaceOn<Stub>(1, "seg1-stub");
+  machine.Boot();
+
+  core::ShardedControlClient client(&seg0, machine.shard_infos(),
+                                    core::AllocationPolicy::kInterleave);
+  Pasid pasid = machine.NewApplication("app");
+  auto home = client.AllocSync(pasid, 4 * kPageSize);
+  auto remote = client.AllocSync(pasid, 4 * kPageSize);
+  ASSERT_TRUE(home.ok());
+  ASSERT_TRUE(remote.ok());
+  ASSERT_EQ(memdev::ShardForVa(*home, 2), 0u);
+  ASSERT_EQ(memdev::ShardForVa(*remote, 2), 1u);
+  machine.RunFor(sim::Duration::Micros(450));  // inside the partition window
+
+  auto freed = client.FreeBatchSync(pasid, {*home, *remote}, 4 * kPageSize);
+  ASSERT_TRUE(freed.ok()) << freed.status().ToString();
+  EXPECT_EQ(machine.simulator().Now().nanos(), 911'117u);
+  EXPECT_EQ(client.op_retries(), 8u);
+  EXPECT_EQ(client.spills(), 0u);
+  EXPECT_EQ(client.lease_count(), 0u);
+  EXPECT_EQ(shards[0]->allocation_count(), 0u);
+  EXPECT_EQ(shards[1]->allocation_count(), 0u);
 }
 
 // --- chaos schedules ----------------------------------------------------------
