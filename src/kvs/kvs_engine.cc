@@ -159,7 +159,10 @@ void KvsEngine::TryCandidate(DeviceId provider, std::vector<uint32_t> candidates
   index_ = HashIndex();
   log_tail_ = 0;
   commit_seen_ = false;
-  file_ = std::make_unique<ssddev::FileClient>(host_, pasid_, config_.file_client);
+  // The session this replaces may have been reset (its SSD failed, or it
+  // served debris) while still holding its memory: Close frees it.
+  Retire(std::move(file_));
+  file_ = NewClient();
   file_->SetSlotAvailableCallback([this] { PumpWaiting(); });
   file_->Open(name, config_.auth_token,
               [this, provider, candidates = std::move(candidates), index, generation, name,
@@ -462,12 +465,7 @@ void KvsEngine::CompactNow(StartCallback done) {
           AbortCompaction(created);
           return;
         }
-        if (spare_clients_.empty()) {
-          job->file = std::make_unique<ssddev::FileClient>(host_, pasid_, config_.file_client);
-        } else {
-          job->file = std::move(spare_clients_.front());
-          spare_clients_.pop_front();
-        }
+        job->file = NewClient();
         job->file->Open(target, config_.auth_token,
                         [this, id, client = job->file.get()](Status opened) {
                           Compaction* current = Current(id);
@@ -660,6 +658,15 @@ KvsEngine::StartCallback KvsEngine::EndCompaction() {
     }
   }
   return std::move(job->done);
+}
+
+std::unique_ptr<ssddev::FileClient> KvsEngine::NewClient() {
+  if (spare_clients_.empty()) {
+    return std::make_unique<ssddev::FileClient>(host_, pasid_, config_.file_client);
+  }
+  std::unique_ptr<ssddev::FileClient> client = std::move(spare_clients_.front());
+  spare_clients_.pop_front();
+  return client;
 }
 
 void KvsEngine::Retire(std::unique_ptr<ssddev::FileClient> client) {

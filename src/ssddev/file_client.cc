@@ -428,14 +428,13 @@ void FileClient::Reset(Status reason) {
   free_slots_.clear();
   provider_ = DeviceId::Invalid();
   instance_ = InstanceId::Invalid();
-  session_base_ = VirtAddr(0);
-  session_bytes_ = 0;
   depth_ = 0;
 }
 
 void FileClient::Close(sim::MoveFn<void(Status), 160> done) {
   LASTCPU_CHECK(done != nullptr, "close without callback");
-  if (queue_ == nullptr) {
+  bool open = queue_ != nullptr;
+  if (!open && session_base_ == VirtAddr(0)) {
     done(FailedPrecondition("session not open"));
     return;
   }
@@ -443,20 +442,30 @@ void FileClient::Close(sim::MoveFn<void(Status), 160> done) {
   AbortAll(Aborted("session closing"));
   poll_.Cancel();
   queue_.reset();
-  auto done_ptr = std::make_shared<sim::MoveFn<void(Status), 160>>(std::move(done));
-  host_->rpc().Call<void>(
-      provider_, proto::CloseRequest{instance_}, [this, done_ptr](Result<void> closed) {
-        // Free the session memory regardless of close outcome.
-        host_->rpc().Call<void>(
-            kBusDevice, proto::MemFreeRequest{pasid_, session_base_, session_bytes_},
-            [done_ptr, closed = closed.ok()](Result<void> freed) {
-              if (!closed) {
-                (*done_ptr)(Internal("close failed"));
-                return;
-              }
-              (*done_ptr)(freed.ok() ? OkStatus() : freed.status());
-            });
-      });
+  // Free the session memory whatever the close's outcome.
+  auto free_memory = [this, done = std::move(done),
+                      region = proto::MemFreeRequest{
+                          pasid_, std::exchange(session_base_, VirtAddr(0)),
+                          std::exchange(session_bytes_, 0)}](bool closed) mutable {
+    host_->rpc().Call<void>(
+        kBusDevice, region, [done = std::move(done), closed](Result<void> freed) mutable {
+          if (!closed) {
+            done(Internal("close failed"));
+            return;
+          }
+          done(freed.ok() ? OkStatus() : freed.status());
+        });
+  };
+  if (!open) {
+    // A reset session's instance died with its provider: only the memory
+    // is left to free.
+    free_memory(true);
+    return;
+  }
+  host_->rpc().Call<void>(provider_, proto::CloseRequest{instance_},
+                          [free_memory = std::move(free_memory)](Result<void> closed) mutable {
+                            free_memory(closed.ok());
+                          });
 }
 
 namespace {

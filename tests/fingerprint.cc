@@ -19,32 +19,32 @@ struct Entry {
 // entries name the test; KernelFingerprint entries name the core count;
 // Example entries hash that example's stdout.
 constexpr Entry kTable[] = {
-    {"ChaosSoak/ssd-transient", 0xae2a25dba03dde70ull},
-    {"ChaosSoak/ssd-crash-loop-then-recover", 0x8cede8ab7ae0aeceull},
+    {"ChaosSoak/ssd-transient", 0x7e2771cf35526f15ull},
+    {"ChaosSoak/ssd-crash-loop-then-recover", 0x1ab34e5a6cc72160ull},
     {"ChaosSoak/ssd-never-returns", 0x40cd57a70c157ba7ull},
     {"ChaosSoak/ssd-dies-in-boot-self-test", 0xe92fa5ad0c68dbbeull},
     {"ChaosSoak/ssd-dies-mid-session-setup", 0xacd0cd296e6ab6b1ull},
     {"ChaosSoak/ssd-dies-early-never-returns", 0xdbd5af9675fb4c4bull},
-    {"ChaosSoak/ssd-dies-again-during-kvs-recovery", 0xacf5b3b9c4b0349cull},
-    {"ChaosSoak/nic-transient", 0xfa56e2524baba098ull},
+    {"ChaosSoak/ssd-dies-again-during-kvs-recovery", 0x7874d87c25eab2cfull},
+    {"ChaosSoak/nic-transient", 0x89331b084b2db626ull},
     {"ChaosSoak/memctrl-transient", 0x42de62cff050b320ull},
-    {"ChaosSoak/ssd-crash-loops-into-quarantine", 0xb3101fb425f49263ull},
+    {"ChaosSoak/ssd-crash-loops-into-quarantine", 0xb777b5f352f28476ull},
     {"ChaosSoak/ssd-power-cut-transient", 0x06814e10d1390209ull},
-    {"ChaosSoak/ssd-power-cut-mid-gc", 0x5ec139c45e62efe1ull},
+    {"ChaosSoak/ssd-power-cut-mid-gc", 0xa7af9005744ef3d6ull},
     {"ChaosSoak/ssd-power-cut-double", 0x63740e51228976ebull},
     {"ChaosSoak/magazine-holder-never-returns", 0x9370856ef47241efull},
-    {"ChaosSoak/ssd-transient/batched", 0x65a042045f27f99cull},
-    {"ChaosSoak/ssd-crash-loop-then-recover/batched", 0x5d603d7b5f68125cull},
+    {"ChaosSoak/ssd-transient/batched", 0x79fdc176ad0fb039ull},
+    {"ChaosSoak/ssd-crash-loop-then-recover/batched", 0x4414c9548f1b4e50ull},
     {"ChaosSoak/ssd-never-returns/batched", 0x16d39dd9abb853e9ull},
     {"ChaosSoak/ssd-dies-in-boot-self-test/batched", 0x0574f977b2f6f698ull},
     {"ChaosSoak/ssd-dies-mid-session-setup/batched", 0x23d499ba5fa7e018ull},
     {"ChaosSoak/ssd-dies-early-never-returns/batched", 0xdbd5af9675fb4c4bull},
-    {"ChaosSoak/ssd-dies-again-during-kvs-recovery/batched", 0x986bd9d832bfd0a6ull},
-    {"ChaosSoak/nic-transient/batched", 0x504909a4326d637full},
+    {"ChaosSoak/ssd-dies-again-during-kvs-recovery/batched", 0x6e8620b2ea2314b1ull},
+    {"ChaosSoak/nic-transient/batched", 0x8ea6a3b276208079ull},
     {"ChaosSoak/memctrl-transient/batched", 0xc0a18e3ebfadb40dull},
-    {"ChaosSoak/ssd-crash-loops-into-quarantine/batched", 0x67071fadbd174703ull},
+    {"ChaosSoak/ssd-crash-loops-into-quarantine/batched", 0xc0602353d920dd70ull},
     {"ChaosSoak/ssd-power-cut-transient/batched", 0x3340c36d2f6e61bdull},
-    {"ChaosSoak/ssd-power-cut-mid-gc/batched", 0x4808aec4ac41020eull},
+    {"ChaosSoak/ssd-power-cut-mid-gc/batched", 0x842d319f73800591ull},
     {"ChaosSoak/ssd-power-cut-double/batched", 0x7e4d0153070677bfull},
     {"ChaosSoak/magazine-holder-never-returns/batched", 0x577bc0a07355f0fcull},
     {"RackChaos.ShardKillQuarantinesReclaimsAndRerunsByteIdentical", 0x8be62fb14d1a8a73ull},

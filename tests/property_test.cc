@@ -447,7 +447,7 @@ using KvsPowerCutProperty = SeededTest;
 
 TEST_P(KvsPowerCutProperty, RestartReadsNewestAckedValues) {
   core::Machine machine;
-  machine.AddMemoryController();
+  auto& memctrl = machine.AddMemoryController();
   ssddev::SmartSsdConfig ssd_config;
   ssd_config.host_auth_service = false;
   auto& ssd = machine.AddSmartSsd(ssd_config);
@@ -553,10 +553,14 @@ TEST_P(KvsPowerCutProperty, RestartReadsNewestAckedValues) {
     if (cut) {
       ++cuts;
       ASSERT_TRUE(engine.running()) << "engine did not restart after cut " << cuts;
+      // The serving session's memory, and a compaction's: every session the
+      // cut reset has freed its own.
+      ASSERT_LE(memctrl.allocation_count(), 2u) << "after cut " << cuts;
       ASSERT_NO_FATAL_FAILURE(verify(allowed));
     }
   }
   ASSERT_NO_FATAL_FAILURE(verify({}));
+  EXPECT_LE(memctrl.allocation_count(), 2u);
   EXPECT_GT(cuts, 10u);
   EXPECT_GT(cuts_in_compaction, 0u);
 }
