@@ -4,6 +4,8 @@
 
 namespace lastcpu::auth {
 
+constexpr sim::Duration kTokenLifetime = sim::Duration::Seconds(3600);
+
 uint64_t HashSecret(const std::string& secret, uint64_t salt) {
   uint64_t h = 0xCBF29CE484222325ULL ^ salt;
   for (char c : secret) {
@@ -17,10 +19,9 @@ uint64_t HashSecret(const std::string& secret, uint64_t salt) {
   return h;
 }
 
-AuthService::AuthService(DeviceId provider, sim::Simulator* simulator, AuthConfig config)
+AuthService::AuthService(DeviceId provider, sim::Simulator* simulator)
     : Service(proto::ServiceDescriptor{provider, proto::ServiceType::kAuth, "auth", 0}),
-      simulator_(simulator),
-      config_(config) {
+      simulator_(simulator) {
   LASTCPU_CHECK(simulator != nullptr, "auth service needs a simulator for expiry");
 }
 
@@ -43,7 +44,7 @@ Result<proto::AuthResponse> AuthService::HandleAuth(const proto::AuthRequest& re
   // Token value mixes a counter with the user hash; uniqueness is what
   // matters here, not unforgeability (see header).
   uint64_t token = HashSecret(request.user, ++token_counter_ ^ 0xA5A5A5A5A5A5A5A5ULL);
-  sim::SimTime expiry = simulator_->Now() + config_.token_lifetime;
+  sim::SimTime expiry = simulator_->Now() + kTokenLifetime;
   tokens_[token] = TokenEntry{request.user, expiry};
   return proto::AuthResponse{token, expiry.nanos()};
 }

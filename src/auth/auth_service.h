@@ -22,13 +22,9 @@ namespace lastcpu::auth {
 // Salted FNV-1a, the stand-in for a real password hash.
 uint64_t HashSecret(const std::string& secret, uint64_t salt);
 
-struct AuthConfig {
-  sim::Duration token_lifetime = sim::Duration::Seconds(3600);
-};
-
 class AuthService : public dev::Service {
  public:
-  AuthService(DeviceId provider, sim::Simulator* simulator, AuthConfig config = {});
+  AuthService(DeviceId provider, sim::Simulator* simulator);
 
   // Registers a user (the 'passwd file' entry). Local administrative call —
   // in a deployment this would itself be loader-gated.
@@ -64,7 +60,6 @@ class AuthService : public dev::Service {
   };
 
   sim::Simulator* simulator_;
-  AuthConfig config_;
   std::map<std::string, UserEntry> users_;
   mutable std::map<uint64_t, TokenEntry> tokens_;  // mutable: lookups prune expired
   uint64_t next_salt_ = 0x1234;

@@ -10,6 +10,17 @@
 namespace lastcpu::baseline {
 namespace {
 
+// Device -> CPU notification: interrupt delivery + context switch.
+constexpr sim::Duration kInterruptCost = sim::Duration::Micros(2);
+// Trap + syscall dispatch on entry.
+constexpr sim::Duration kSyscallEntry = sim::Duration::Nanos(300);
+// Handler body for memory-management operations.
+constexpr sim::Duration kMmService = sim::Duration::Micros(1);
+// Extra handler time per page mapped/unmapped.
+constexpr sim::Duration kPerPageCost = sim::Duration::Nanos(60);
+// Handler body for generic I/O mediation (completion processing, wakeups).
+constexpr sim::Duration kIoService = sim::Duration::Nanos(800);
+
 // "pasid=<pasid> <key>=<value>": the span detail of a kernel memory op.
 std::string OpDetail(Pasid pasid, std::string_view key, uint64_t value) {
   return "pasid=" + std::to_string(pasid.value()) + " " + std::string(key) + "=" +
@@ -70,10 +81,10 @@ void CentralKernel::RunOnCpu(sim::Duration service, std::function<void()> handle
                              sim::SpanId parent, sim::Duration interrupt_extra) {
   // The device raises an interrupt; after delivery the op joins the run
   // queue of the least-loaded core.
-  sim::SimTime arrival = simulator_->Now() + config_.interrupt_cost + interrupt_extra;
+  sim::SimTime arrival = simulator_->Now() + kInterruptCost + interrupt_extra;
   auto core = std::min_element(core_busy_until_.begin(), core_busy_until_.end());
   sim::SimTime start = std::max(arrival, *core);
-  sim::SimTime done = start + config_.syscall_entry + service;
+  sim::SimTime done = start + kSyscallEntry + service;
   *core = done;
   // Child span: interrupt delivery + run-queue wait + handler occupancy.
   sim::SpanId cpu_span = tracer_.BeginSpan("on-cpu", parent);
@@ -98,10 +109,10 @@ void CentralKernel::SimulateKernelFailover(sim::Duration blackout, Callback<void
   stats_.GetCounter("kernel_restarts").Increment();
   // Warm reboot: the tables survive in kernel memory, but the kernel re-walks
   // every live entry (consistency check against the IOMMU state it also owns)
-  // before admitting syscalls — one mm_service each, serial on the boot core.
+  // before admitting syscalls — one kMmService each, serial on the boot core.
   uint64_t entries = leases_.allocation_count();
   stats_.GetCounter("kernel_rebuild_entries").Increment(entries);
-  sim::Duration rebuild = config_.syscall_entry + config_.mm_service * entries;
+  sim::Duration rebuild = kSyscallEntry + kMmService * entries;
   core_busy_until_.front() = up_again + rebuild;
   simulator_->ScheduleAt(up_again + rebuild,
                          [done = std::move(done)]() mutable { done(OkStatus()); });
@@ -142,7 +153,7 @@ void CentralKernel::AllocMemory(DeviceId requester, Pasid pasid, uint64_t bytes,
                                 Callback<VirtAddr> done) {
   LASTCPU_CHECK(done != nullptr, "alloc without callback");
   uint64_t pages = PagesForBytes(bytes);
-  sim::Duration service = config_.mm_service + config_.per_page_cost * pages;
+  sim::Duration service = kMmService + kPerPageCost * pages;
   sim::SpanId span = BeginOpSpan("Alloc", [&] { return OpDetail(pasid, "bytes", bytes); });
   RunOnCpu(service, [this, requester, pasid, bytes, pages, done = std::move(done)] {
     if (bytes == 0) {
@@ -168,7 +179,7 @@ void CentralKernel::FreeMemory(DeviceId requester, Pasid pasid, VirtAddr vaddr, 
                                Callback<void> done) {
   LASTCPU_CHECK(done != nullptr, "free without callback");
   uint64_t pages = PagesForBytes(bytes);
-  sim::Duration service = config_.mm_service + config_.per_page_cost * pages;
+  sim::Duration service = kMmService + kPerPageCost * pages;
   sim::SpanId span = BeginOpSpan("Free", [&] { return OpDetail(pasid, "bytes", bytes); });
   RunOnCpu(service, [this, requester, pasid, vaddr, pages, done = std::move(done)] {
     auto owned = leases_.Owned(requester, pasid, vaddr, pages);
@@ -187,7 +198,7 @@ void CentralKernel::AllocMemoryBatch(DeviceId requester, Pasid pasid, uint64_t b
   uint64_t pages = PagesForBytes(bytes);
   // One interrupt + one syscall entry for the whole batch; the handler still
   // does per-allocation work.
-  sim::Duration service = (config_.mm_service + config_.per_page_cost * pages) * count;
+  sim::Duration service = (kMmService + kPerPageCost * pages) * count;
   sim::SpanId span = BeginOpSpan("AllocBatch", [&] { return OpDetail(pasid, "count", count); });
   RunOnCpu(service, [this, requester, pasid, bytes, pages, count, done = std::move(done)] {
     if (bytes == 0 || count == 0) {
@@ -224,7 +235,7 @@ void CentralKernel::FreeMemoryBatch(DeviceId requester, Pasid pasid, std::vector
   LASTCPU_CHECK(done != nullptr, "batch free without callback");
   uint64_t pages = PagesForBytes(bytes);
   sim::Duration service =
-      (config_.mm_service + config_.per_page_cost * pages) * static_cast<uint32_t>(vaddrs.size());
+      (kMmService + kPerPageCost * pages) * static_cast<uint32_t>(vaddrs.size());
   sim::SpanId span =
       BeginOpSpan("FreeBatch", [&] { return OpDetail(pasid, "count", vaddrs.size()); });
   RunOnCpu(service, [this, requester, pasid, vaddrs = std::move(vaddrs), pages,
@@ -256,7 +267,7 @@ void CentralKernel::Grant(DeviceId owner, Pasid pasid, VirtAddr vaddr, uint64_t 
                           DeviceId grantee, Access access, Callback<void> done) {
   LASTCPU_CHECK(done != nullptr, "grant without callback");
   uint64_t pages = PagesForBytes(bytes);
-  sim::Duration service = config_.mm_service + config_.per_page_cost * pages;
+  sim::Duration service = kMmService + kPerPageCost * pages;
   sim::SpanId span =
       BeginOpSpan("Grant", [&] { return OpDetail(pasid, "grantee", grantee.value()); });
   RunOnCpu(service, [this, owner, pasid, vaddr, bytes, grantee, access, done = std::move(done)] {
@@ -277,7 +288,7 @@ void CentralKernel::Revoke(DeviceId owner, Pasid pasid, VirtAddr vaddr, uint64_t
                            DeviceId grantee, Callback<void> done) {
   LASTCPU_CHECK(done != nullptr, "revoke without callback");
   uint64_t pages = PagesForBytes(bytes);
-  sim::Duration service = config_.mm_service + config_.per_page_cost * pages;
+  sim::Duration service = kMmService + kPerPageCost * pages;
   sim::SpanId span =
       BeginOpSpan("Revoke", [&] { return OpDetail(pasid, "grantee", grantee.value()); });
   RunOnCpu(service, [this, owner, pasid, vaddr, bytes, grantee, done = std::move(done)] {
@@ -297,7 +308,7 @@ void CentralKernel::Teardown(Pasid pasid, Callback<void> done) {
       allocation.ForEachHolder([&](const memdev::Range& range) { pages += range.pages; });
     }
   }
-  sim::Duration service = config_.mm_service + config_.per_page_cost * pages;
+  sim::Duration service = kMmService + kPerPageCost * pages;
   sim::SpanId span =
       BeginOpSpan("Teardown", [&] { return "pasid=" + std::to_string(pasid.value()); });
   RunOnCpu(service, [this, pasid, done = std::move(done)] {
@@ -310,7 +321,7 @@ void CentralKernel::Teardown(Pasid pasid, Callback<void> done) {
 void CentralKernel::MediateIo(sim::Duration work, std::function<void()> done) {
   LASTCPU_CHECK(done != nullptr, "mediation without callback");
   sim::SpanId span = BeginOpSpan("MediateIo", [] { return std::string(); });
-  RunOnCpu(config_.io_service + work, std::move(done), span);
+  RunOnCpu(kIoService + work, std::move(done), span);
 }
 
 // --- device supervision ------------------------------------------------------
@@ -328,7 +339,7 @@ void CentralKernel::DecideOnCpu(bus::DeviceSupervisor::Decision decision, Device
   bool failure = decision == bus::DeviceSupervisor::Decision::kFailure;
   sim::SpanId span = BeginOpSpan(failure ? "DeviceFailure" : "RestartDeadline",
                                  [&] { return "device=" + std::to_string(device.value()); });
-  RunOnCpu(config_.io_service, [this, failure, device, decide = std::move(decide)] {
+  RunOnCpu(kIoService, [this, failure, device, decide = std::move(decide)] {
     if (failure) {
       stats_.GetCounter("device_failures").Increment();
       if (!supervisor_.policy().supervised()) {
@@ -351,7 +362,7 @@ void CentralKernel::ReclaimDevice(DeviceId device) {
       device, [this](Pasid pasid, const memdev::Range& range) { UnmapRange(pasid, range); });
   if (reclaimed.pages > 0) {
     // Bill the page-table scrubbing as handler time on the CPU.
-    RunOnCpu(config_.per_page_cost * reclaimed.pages, [] {});
+    RunOnCpu(kPerPageCost * reclaimed.pages, [] {});
   }
 }
 

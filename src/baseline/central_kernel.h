@@ -41,16 +41,6 @@ namespace lastcpu::baseline {
 
 struct CentralKernelConfig {
   uint32_t cores = 1;
-  // Device -> CPU notification: interrupt delivery + context switch.
-  sim::Duration interrupt_cost = sim::Duration::Micros(2);
-  // Trap + syscall dispatch on entry.
-  sim::Duration syscall_entry = sim::Duration::Nanos(300);
-  // Handler body for memory-management operations.
-  sim::Duration mm_service = sim::Duration::Micros(1);
-  // Extra handler time per page mapped/unmapped.
-  sim::Duration per_page_cost = sim::Duration::Nanos(60);
-  // Handler body for generic I/O mediation (completion processing, wakeups).
-  sim::Duration io_service = sim::Duration::Nanos(800);
   // Restart supervision: the bus's policy and state machine, but every
   // decision is a software handler on the CPU (interrupt, run-queue wait,
   // then the supervisor code runs). max_restart_attempts = 0 disables
@@ -115,7 +105,7 @@ class CentralKernel {
   // The baseline's failover story: the CPU complex panics and warm-reboots.
   // EVERY control operation machine-wide stalls for `blackout` (all cores go
   // busy), then the kernel re-walks its allocation tables before serving
-  // again — one mm_service per live table entry, on one core. This is the
+  // again — one kMmService per live table entry, on one core. This is the
   // centralized counterpart of one shard's lease-rebuild takeover: there, the
   // blast radius is one VA slab; here it is the whole machine. `done` fires
   // when the kernel is serving again.

@@ -6,6 +6,16 @@
 
 namespace lastcpu::bus {
 
+// Pulse k of an episode waits kRestartBackoff * kBackoffMultiplier^(k-2).
+constexpr sim::Duration kRestartBackoff = sim::Duration::Micros(50);
+constexpr double kBackoffMultiplier = 2.0;
+// A pulsed device must announce alive within this deadline, or the attempt
+// counts as failed. This is what catches a crash *during self-test*: dead
+// silicon sends no heartbeats for the watchdog to miss.
+constexpr sim::Duration kRestartTimeout = sim::Duration::Micros(500);
+// The crash-loop detector's sliding window.
+constexpr sim::Duration kCrashLoopWindow = sim::Duration::Millis(5);
+
 DeviceSupervisor::DeviceSupervisor(sim::Simulator* simulator, RestartPolicy policy,
                                    sim::Tracer* tracer, sim::StatsRegistry* stats)
     : simulator_(simulator), policy_(policy), tracer_(tracer), stats_(stats) {
@@ -29,13 +39,13 @@ uint32_t DeviceSupervisor::AttemptsOf(DeviceId device) const {
 
 sim::Duration DeviceSupervisor::BackoffFor(uint32_t attempt) const {
   // Attempt 0 pulses immediately (the legacy single-pulse timing); attempt k
-  // waits restart_backoff * multiplier^(k-1).
+  // waits kRestartBackoff * kBackoffMultiplier^(k-1).
   if (attempt == 0) {
     return sim::Duration::Zero();
   }
-  double nanos = static_cast<double>(policy_.restart_backoff.nanos());
+  double nanos = static_cast<double>(kRestartBackoff.nanos());
   for (uint32_t i = 1; i < attempt; ++i) {
-    nanos *= policy_.backoff_multiplier;
+    nanos *= kBackoffMultiplier;
   }
   return sim::Duration::Nanos(static_cast<uint64_t>(nanos));
 }
@@ -73,7 +83,7 @@ void DeviceSupervisor::DecideFailure(DeviceId device) {
   sim::SimTime now = simulator_->Now();
   rec.recent_failures.push_back(now);
   while (!rec.recent_failures.empty() &&
-         now - rec.recent_failures.front() > policy_.crash_loop_window) {
+         now - rec.recent_failures.front() > kCrashLoopWindow) {
     rec.recent_failures.pop_front();
   }
   CancelTimers(rec);  // an actual failure report supersedes any armed deadline
@@ -85,7 +95,7 @@ void DeviceSupervisor::DecideFailure(DeviceId device) {
       rec.recent_failures.size() >= policy_.crash_loop_threshold) {
     Quarantine(device, rec,
                "crash loop: " + std::to_string(rec.recent_failures.size()) + " failures within " +
-                   policy_.crash_loop_window.ToString());
+                   kCrashLoopWindow.ToString());
     return;
   }
   if (rec.attempts >= policy_.max_restart_attempts) {
@@ -125,7 +135,7 @@ void DeviceSupervisor::PulseNow(DeviceId device) {
                      rec.name + " attempt " + std::to_string(rec.attempts), rec.episode_span);
   }
   rec.deadline = sim::ScopedEvent(
-      simulator_, simulator_->Schedule(policy_.restart_timeout,
+      simulator_, simulator_->Schedule(kRestartTimeout,
                                        [this, device] { OnRestartDeadline(device); }));
   if (hooks_.pulse_reset) {
     hooks_.pulse_reset(device);

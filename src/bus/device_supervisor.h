@@ -48,20 +48,13 @@ namespace lastcpu::bus {
 // quarantine — useful for A/B comparison and backward compatibility).
 struct RestartPolicy {
   // Reset pulses per failure episode before the supervisor gives up. The
-  // first pulse is immediate (exactly the legacy behaviour); pulse k waits
-  // restart_backoff * backoff_multiplier^(k-2) first.
+  // first pulse is immediate (exactly the legacy behaviour); later pulses
+  // back off exponentially (kRestartBackoff in the .cc).
   uint32_t max_restart_attempts = 4;
-  sim::Duration restart_backoff = sim::Duration::Micros(50);
-  double backoff_multiplier = 2.0;
-  // A pulsed device must announce alive within this deadline, or the attempt
-  // counts as failed. This is what catches a crash *during self-test*: dead
-  // silicon sends no heartbeats for the watchdog to miss.
-  sim::Duration restart_timeout = sim::Duration::Micros(500);
   // Crash-loop detector: this many failure reports inside the sliding window
-  // quarantine the device even when every individual restart "succeeded".
-  // 0 disables the detector.
+  // (kCrashLoopWindow) quarantine the device even when every individual
+  // restart "succeeded". 0 disables the detector.
   uint32_t crash_loop_threshold = 8;
-  sim::Duration crash_loop_window = sim::Duration::Millis(5);
 
   bool supervised() const { return max_restart_attempts > 0; }
 };

@@ -7,6 +7,19 @@
 #include "src/proto/codec.h"
 
 namespace lastcpu::bus {
+
+// Per-message wire latency: base + size / bandwidth.
+constexpr sim::Duration kBaseLatency = sim::Duration::Nanos(250);
+constexpr double kBytesPerNano = 2.0;  // ~2 GB/s management bus; it need not be fast
+// Per-entry increment of a table update, for large map batches.
+constexpr sim::Duration kPerEntryLatency = sim::Duration::Nanos(15);
+// During an inter-segment partition, cross-segment responses and one-ways
+// are held in the router's egress buffer and flushed at heal; at most this
+// many may be parked at once (overflow is dropped, counted). Requests are
+// never queued — they fail fast with kPartitioned so callers can retry
+// against segment-local resources instead of blocking.
+constexpr uint32_t kPartitionQueueLimit = 32;
+
 void BusPort::Send(proto::Message message) { bus_->SendFromPort(id_, std::move(message)); }
 
 SystemBus::SystemBus(sim::Simulator* simulator, BusConfig config, sim::TraceLog* trace)
@@ -134,9 +147,9 @@ void SystemBus::SendFromPort(DeviceId src, proto::Message message) {
   size_t wire_bytes = proto::EncodedSize(message);
   bytes_sent_.Increment(wire_bytes);
 
-  auto wire_time = config_.base_latency +
+  auto wire_time = kBaseLatency +
                    sim::Duration::Nanos(static_cast<uint64_t>(
-                       static_cast<double>(wire_bytes) / config_.bytes_per_nano));
+                       static_cast<double>(wire_bytes) / kBytesPerNano));
   sim::SimTime start = std::max(simulator_->Now(), endpoint->tx_busy_until);
   sim::SimTime arrival = start + wire_time;
   endpoint->tx_busy_until = arrival;
@@ -265,7 +278,7 @@ void SystemBus::DeliverRouted(proto::Message message, bool from_broadcast) {
       segment_counters_[src_segment].routed_out++;
       segment_counters_[dst_segment].routed_in++;
       simulator_->Schedule(
-          config_.inter_segment_latency,
+          kInterSegmentLatency,
           [this, message = std::move(message)]() mutable { Deliver(std::move(message)); });
       return;
     }
@@ -297,7 +310,7 @@ void SystemBus::HandlePartitioned(proto::Message message, uint32_t src_segment,
   // real router buffer is finite.
   sim::SimTime heal = faults_->PartitionHealTime(src_segment, dst_segment, simulator_->Now());
   if (from_broadcast || heal == sim::SimTime::Max() ||
-      partition_held_ >= config_.partition_queue_limit) {
+      partition_held_ >= kPartitionQueueLimit) {
     stats_.GetCounter("partition_dropped").Increment();
     tracer_.FlowReceive(proto::MessageTypeName(message.type()), message.trace.flow,
                         message.trace.span);
@@ -425,7 +438,7 @@ void SystemBus::HandleBusMessage(proto::Message message) {
       }
       // Table updates serialize on the bus's single update engine.
       auto cost = config_.table_update_latency +
-                  config_.per_entry_latency * static_cast<uint64_t>(directive.entries.size());
+                  kPerEntryLatency * static_cast<uint64_t>(directive.entries.size());
       sim::SimTime start = std::max(simulator_->Now(), table_engine_busy_until_);
       sim::SimTime done = start + cost;
       table_engine_busy_until_ = done;
@@ -607,7 +620,7 @@ void SystemBus::ExecuteMapDirective(const proto::Message& message, sim::SpanId s
 void SystemBus::AdminSend(proto::Message message) {
   message.src = kBusDevice;
   stats_.GetCounter("admin_messages").Increment();
-  simulator_->Schedule(config_.base_latency, [this, message = std::move(message)]() mutable {
+  simulator_->Schedule(kBaseLatency, [this, message = std::move(message)]() mutable {
     Route(std::move(message));
   });
 }
@@ -673,7 +686,7 @@ void SystemBus::NotifyFailure(DeviceId device, bool controller_failed,
       segment_counters_[SegmentIndex(id)].broadcast_copies++;
     }
     auto delay =
-        cross_segment ? config_.base_latency + config_.inter_segment_latency : config_.base_latency;
+        cross_segment ? kBaseLatency + kInterSegmentLatency : kBaseLatency;
     simulator_->Schedule(delay, [this, notice = std::move(notice)]() mutable {
       DeliverTraced(std::move(notice), 0);
     });
@@ -688,7 +701,7 @@ void SystemBus::PulseReset(DeviceId device) {
   stats_.GetCounter("reset_pulses").Increment();
   // The reset line bypasses normal routing: dead silicon is not "alive" on
   // the bus, but the line is wired straight to the device.
-  simulator_->Schedule(config_.base_latency, [this, reset = std::move(reset), device]() mutable {
+  simulator_->Schedule(kBaseLatency, [this, reset = std::move(reset), device]() mutable {
     Endpoint* endpoint = FindEndpoint(device);
     if (endpoint != nullptr) {
       endpoint->receiver(std::move(reset));

@@ -43,13 +43,9 @@
 namespace lastcpu::bus {
 
 struct BusConfig {
-  // Per-message wire latency: base + size * per_byte.
-  sim::Duration base_latency = sim::Duration::Nanos(250);
-  double bytes_per_nano = 2.0;  // ~2 GB/s management bus; it need not be fast
-  // Cost of one privileged table update (IOMMU map/unmap entry batch).
+  // Cost of one privileged table update (IOMMU map/unmap entry batch), before
+  // its per-entry increment.
   sim::Duration table_update_latency = sim::Duration::Nanos(120);
-  // Per-entry increment for large map batches.
-  sim::Duration per_entry_latency = sim::Duration::Nanos(15);
   // Watchdog: an alive, heartbeat-participating device whose last heartbeat
   // is older than this is declared failed. Zero disables monitoring. Devices
   // opt in by sending heartbeats at a period comfortably below the timeout.
@@ -63,18 +59,13 @@ struct BusConfig {
   // router, no scoping, bit-identical to the pre-rack bus. A device's segment
   // is the high bits of its id (see SegmentOf in base/types.h).
   uint32_t segments = 1;
-  // Per-hop latency through the inter-segment router, paid by any message
-  // whose source and destination devices sit on different segments. Traffic
-  // to the bus controller itself rides the management ring (the bus has a
-  // presence on every segment) and never pays it.
-  sim::Duration inter_segment_latency = sim::Duration::Nanos(400);
-  // During an inter-segment partition, cross-segment responses and one-ways
-  // are held in the router's egress buffer and flushed at heal; at most this
-  // many may be parked at once (overflow is dropped, counted). Requests are
-  // never queued — they fail fast with kPartitioned so callers can retry
-  // against segment-local resources instead of blocking.
-  uint32_t partition_queue_limit = 32;
 };
+
+// Per-hop latency through the inter-segment router, paid by any message whose
+// source and destination devices sit on different segments. Traffic to the
+// bus controller itself rides the management ring (the bus has a presence on
+// every segment) and never pays it.
+inline constexpr sim::Duration kInterSegmentLatency = sim::Duration::Nanos(400);
 
 // Per-segment traffic accounting (only meaningful when segments > 1).
 struct SegmentCounters {
@@ -219,7 +210,7 @@ class SystemBus {
   void DeliverTraced(proto::Message message, sim::SpanId parent);
 
   // Unicast delivery through the segment router: a cross-segment (src, dst)
-  // pair pays inter_segment_latency and bumps the routed counters; everything
+  // pair pays kInterSegmentLatency and bumps the routed counters; everything
   // else (same segment, flat machine, bus-originated) delivers directly.
   // `from_broadcast` marks fan-out copies, which are silently dropped (never
   // error-bounced) when a partition severs their path.
@@ -286,7 +277,7 @@ class SystemBus {
   // check instead.
   std::map<DeviceId, uint64_t> shard_epochs_;
   // Cross-segment messages parked during a partition (counted against
-  // BusConfig::partition_queue_limit; each flushes itself at heal time).
+  // kPartitionQueueLimit; each flushes itself at heal time).
   size_t partition_held_ = 0;
   std::vector<SegmentCounters> segment_counters_;
   // Serializes privileged table updates (single update engine).

@@ -28,7 +28,7 @@ Machine::Machine(MachineConfig config)
       memory_(config_.memory_bytes),
       fabric_(&simulator_, &memory_, config_.fabric, &trace_),
       bus_(&simulator_, config_.bus, &trace_),
-      network_(&simulator_, config_.network) {
+      network_(&simulator_) {
   if (config_.enable_trace) {
     trace_.Enable();
   }
@@ -106,8 +106,8 @@ ssddev::SmartSsd& Machine::AddSmartSsd(ssddev::SmartSsdConfig config) {
   return ref;
 }
 
-nicdev::SmartNic& Machine::AddSmartNic(nicdev::SmartNicConfig config) {
-  auto device = std::make_unique<nicdev::SmartNic>(NextDeviceId(), Context(), &network_, config);
+nicdev::SmartNic& Machine::AddSmartNic() {
+  auto device = std::make_unique<nicdev::SmartNic>(NextDeviceId(), Context(), &network_);
   auto& ref = *device;
   devices_.push_back(std::move(device));
   return ref;

@@ -55,7 +55,6 @@ struct MachineConfig {
   uint64_t memory_bytes = 256 << 20;
   bus::BusConfig bus;
   fabric::FabricConfig fabric;
-  net::NetworkConfig network;
   bool enable_trace = false;
   // Machine-wide, seed-deterministic fault injection on the interconnects.
   // The default all-zero plan builds no injector at all, so a healthy
@@ -99,7 +98,7 @@ class Machine {
 
   memdev::MemoryController& AddMemoryController(memdev::MemoryControllerConfig config = {});
   ssddev::SmartSsd& AddSmartSsd(ssddev::SmartSsdConfig config = {});
-  nicdev::SmartNic& AddSmartNic(nicdev::SmartNicConfig config = {});
+  nicdev::SmartNic& AddSmartNic();
 
   // Carves physical memory into `count` equal controller shards, each with
   // its own VA slab (see memdev/shard_layout.h), spread evenly across the

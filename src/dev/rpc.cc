@@ -26,8 +26,7 @@ RequestId RpcEndpoint::NextRequestId() {
 }
 
 sim::Duration RpcEndpoint::AttemptTimeout(const RpcOptions& options) const {
-  return options.timeout > sim::Duration::Zero() ? options.timeout
-                                                 : device_->config().request_timeout;
+  return options.timeout > sim::Duration::Zero() ? options.timeout : kRequestTimeout;
 }
 
 RpcEndpoint::Transaction& RpcEndpoint::Open(RequestId id) {

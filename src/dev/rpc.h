@@ -45,11 +45,14 @@ namespace lastcpu::dev {
 
 class Device;
 
-// Per-call knobs. The defaults are a single attempt under the host device's
-// configured request_timeout — retries must be opted into, and only for
-// operations that are safe to execute more than once.
+// Deadline of one request attempt unless the call names its own.
+inline constexpr sim::Duration kRequestTimeout = sim::Duration::Millis(100);
+
+// Per-call knobs. The defaults are a single attempt under kRequestTimeout —
+// retries must be opted into, and only for operations that are safe to
+// execute more than once.
 struct RpcOptions {
-  // Deadline for each attempt; Zero means the device's request_timeout.
+  // Deadline for each attempt; Zero means kRequestTimeout.
   sim::Duration timeout = sim::Duration::Zero();
   // Total number of send attempts (1 = no retries).
   uint32_t max_attempts = 1;

@@ -7,6 +7,14 @@
 
 namespace lastcpu::fabric {
 
+// Every device link approximates a PCIe 4.0 x4 device: ~8 GB/s sustained,
+// sub-microsecond latency.
+constexpr sim::Duration kLinkLatency = sim::Duration::Nanos(600);
+constexpr double kLinkBytesPerNano = 8.0;  // ~8 GB/s
+constexpr sim::Duration kDoorbellLatency = sim::Duration::Nanos(400);
+constexpr sim::Duration kMmioLatency = sim::Duration::Nanos(150);  // small read/write round trip
+constexpr sim::Duration kWalkLatencyPerLevel = sim::Duration::Nanos(80);  // page-table walk step
+
 Fabric::Fabric(sim::Simulator* simulator, mem::PhysicalMemory* memory, FabricConfig config,
                sim::TraceLog* trace)
     : simulator_(simulator), memory_(memory), config_(config),
@@ -14,12 +22,11 @@ Fabric::Fabric(sim::Simulator* simulator, mem::PhysicalMemory* memory, FabricCon
   LASTCPU_CHECK(simulator != nullptr && memory != nullptr, "fabric needs simulator and memory");
 }
 
-void Fabric::AttachDevice(DeviceId device, iommu::Iommu* iommu, LinkConfig link) {
+void Fabric::AttachDevice(DeviceId device, iommu::Iommu* iommu) {
   LASTCPU_CHECK(iommu != nullptr, "device %u attached without IOMMU", device.value());
   LASTCPU_CHECK(!ports_.contains(device), "device %u already attached", device.value());
   Port port;
   port.iommu = iommu;
-  port.link = link;
   ports_.emplace(device, std::move(port));
 }
 
@@ -80,7 +87,7 @@ Status Fabric::Walk(Port& port, Pasid pasid, VirtAddr addr, uint64_t length, Acc
       return port.iommu->TranslateFault(pasid, addr, wanted);
     }
     if (!translation.tlb_hit) {
-      cost += config_.walk_latency_per_level * static_cast<uint64_t>(translation.levels_walked);
+      cost += kWalkLatencyPerLevel * static_cast<uint64_t>(translation.levels_walked);
     }
     uint64_t chunk = std::min(length, kPageSize - addr.offset());
     runs.Append(translation.paddr, chunk);
@@ -115,11 +122,11 @@ void Fabric::ReadRuns(const Runs& runs, std::span<uint8_t> out) const {
 }
 
 template <typename Done>
-void Fabric::FailDma(Port& port, Status failed, sim::SpanId span, Done done) {
+void Fabric::FailDma(Status failed, sim::SpanId span, Done done) {
   dma_faults_.Increment();
   tracer_.Instant("dma-fault", failed.message(), span);
   // Hardware reports the abort asynchronously, after the failed bus cycle.
-  simulator_->Schedule(port.link.base_latency,
+  simulator_->Schedule(kLinkLatency,
                        [this, span, done = std::move(done), failed = std::move(failed)] {
                          done(failed);
                          tracer_.EndSpan(span);
@@ -138,9 +145,9 @@ sim::SimTime Fabric::Occupy(Port& port, DeviceId initiator, const Runs& runs, ui
     extra += config_.inter_segment_hop;
   }
   auto wire_time = sim::Duration::Nanos(
-      static_cast<uint64_t>(static_cast<double>(bytes) / port.link.bytes_per_nano));
+      static_cast<uint64_t>(static_cast<double>(bytes) / kLinkBytesPerNano));
   sim::SimTime start = std::max(simulator_->Now(), port.link_busy_until);
-  sim::SimTime done = start + port.link.base_latency + wire_time + extra;
+  sim::SimTime done = start + kLinkLatency + wire_time + extra;
   port.link_busy_until = done;
   if (direction == Access::kWrite) {
     dma_writes_.Increment();
@@ -166,7 +173,7 @@ bool Fabric::StartWrite(DeviceId initiator, Pasid pasid, std::span<DmaWriteSegme
     Status walked = Walk(*port, pasid, segment.addr, segment.data.size(), Access::kWrite, runs,
                          walk);
     if (!walked.ok()) {
-      FailDma(*port, std::move(walked), span, std::move(done));
+      FailDma(std::move(walked), span, std::move(done));
       return false;
     }
     bytes += segment.data.size();
@@ -237,7 +244,7 @@ void Fabric::DmaRead(DeviceId initiator, Pasid pasid, VirtAddr src, uint64_t len
   sim::Duration walk = sim::Duration::Zero();
   Status walked = Walk(*port, pasid, src, length, Access::kRead, runs, walk);
   if (!walked.ok()) {
-    FailDma(*port, std::move(walked), span, std::move(done));
+    FailDma(std::move(walked), span, std::move(done));
     return;
   }
   sim::SimTime completion = Occupy(*port, initiator, runs, length, walk, Access::kRead);
@@ -255,7 +262,7 @@ AccessResult Fabric::MemWrite(DeviceId initiator, Pasid pasid, VirtAddr dst,
   Port* port = FindPort(initiator);
   LASTCPU_CHECK(port != nullptr, "access from unattached device %u", initiator.value());
   Runs runs;
-  sim::Duration cost = config_.mmio_latency;
+  sim::Duration cost = kMmioLatency;
   Status walked = Walk(*port, pasid, dst, data.size(), Access::kWrite, runs, cost);
   if (!walked.ok()) {
     return AccessResult{std::move(walked), cost};
@@ -270,7 +277,7 @@ AccessResult Fabric::MemRead(DeviceId initiator, Pasid pasid, VirtAddr src,
   Port* port = FindPort(initiator);
   LASTCPU_CHECK(port != nullptr, "access from unattached device %u", initiator.value());
   Runs runs;
-  sim::Duration cost = config_.mmio_latency;
+  sim::Duration cost = kMmioLatency;
   Status walked = Walk(*port, pasid, src, out.size(), Access::kRead, runs, cost);
   if (!walked.ok()) {
     return AccessResult{std::move(walked), cost};
@@ -287,7 +294,7 @@ void Fabric::RingDoorbell(DeviceId from, DeviceId to, uint64_t value) {
     return;
   }
   doorbells_.Increment();
-  sim::Duration latency = config_.doorbell_latency;
+  sim::Duration latency = kDoorbellLatency;
   if (config_.inter_segment_hop != sim::Duration::Zero() && !IsReservedDevice(from) &&
       !IsReservedDevice(to) && SegmentOf(from) != SegmentOf(to)) {
     cross_segment_doorbells_.Increment();

@@ -32,18 +32,8 @@
 
 namespace lastcpu::fabric {
 
-// Per-device link characteristics. Defaults approximate a PCIe 4.0 x4 device:
-// ~8 GB/s sustained, sub-microsecond latency.
-struct LinkConfig {
-  sim::Duration base_latency = sim::Duration::Nanos(600);
-  double bytes_per_nano = 8.0;  // ~8 GB/s
-};
-
 // Global fabric cost knobs.
 struct FabricConfig {
-  sim::Duration doorbell_latency = sim::Duration::Nanos(400);
-  sim::Duration mmio_latency = sim::Duration::Nanos(150);      // small read/write round trip
-  sim::Duration walk_latency_per_level = sim::Duration::Nanos(80);  // page-table walk step
   // The data-plane batching window. Zero (the default) keeps the unbatched
   // model: every DoorbellBatcher::Ring() is one fabric doorbell, and every
   // file request and response is one DMA write plus one doorbell. With a
@@ -77,7 +67,7 @@ class Fabric {
 
   // Attaches a device's data port. The IOMMU translates all of its traffic;
   // `doorbell` fires when another device rings this device.
-  void AttachDevice(DeviceId device, iommu::Iommu* iommu, LinkConfig link = {});
+  void AttachDevice(DeviceId device, iommu::Iommu* iommu);
   void SetDoorbellHandler(DeviceId device, std::function<void(DeviceId from, uint64_t value)> fn);
   void DetachDevice(DeviceId device);
   bool IsAttached(DeviceId device) const { return ports_.contains(device); }
@@ -142,7 +132,6 @@ class Fabric {
  private:
   struct Port {
     iommu::Iommu* iommu = nullptr;
-    LinkConfig link;
     std::function<void(DeviceId, uint64_t)> doorbell;
     sim::SimTime link_busy_until;  // serializes transfers on one link
   };
@@ -188,7 +177,7 @@ class Fabric {
   // Ends a DMA whose walk faulted: counts it, marks its span, and reports
   // `failed` after the link's base latency.
   template <typename Done>
-  void FailDma(Port& port, Status failed, sim::SpanId span, Done done);
+  void FailDma(Status failed, sim::SpanId span, Done done);
 
   // Occupies the initiator's link for a walked DMA of `bytes` and returns
   // when it completes (store-and-forward pipe model), charging `walk` and,

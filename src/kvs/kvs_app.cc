@@ -4,8 +4,13 @@
 
 namespace lastcpu::kvs {
 
+// Delay between bring-up retries after the storage device fails, and how many
+// the app makes before it gives up.
+constexpr sim::Duration kRetryDelay = sim::Duration::Micros(500);
+constexpr uint32_t kMaxRetries = 20;
+
 KvsApp::KvsApp(dev::Device* host, Pasid pasid, KvsAppConfig config)
-    : host_(host), config_(config), engine_(host, pasid, config.engine) {}
+    : host_(host), engine_(host, pasid, config.engine) {}
 
 void KvsApp::Start(std::function<void(Status)> done) {
   if (engine_.running()) {
@@ -55,7 +60,7 @@ void KvsApp::OnPeerPermanentlyFailed(DeviceId device) {
     return;
   }
   // The supervisor quarantined the storage device: it will never announce
-  // alive again, so the recovery loop would spin for max_retries for
+  // alive again, so the recovery loop would spin for kMaxRetries for
   // nothing. Kill the loop and fail requests fast with kUnavailable.
   provider_gone_ = true;
   host_->stats().GetCounter("kvs_provider_permanently_failed").Increment();
@@ -68,11 +73,11 @@ void KvsApp::Retry(uint32_t attempt) {
   if (provider_gone_) {
     return;  // the provider is quarantined; retrying cannot succeed
   }
-  if (attempt >= config_.max_retries) {
+  if (attempt >= kMaxRetries) {
     host_->stats().GetCounter("kvs_recovery_abandoned").Increment();
     return;
   }
-  host_->simulator()->Schedule(config_.retry_delay, [this, attempt] {
+  host_->simulator()->Schedule(kRetryDelay, [this, attempt] {
     if (engine_.running() || restarting_ || provider_gone_) {
       return;
     }

@@ -13,9 +13,6 @@ namespace lastcpu::kvs {
 
 struct KvsAppConfig {
   KvsEngineConfig engine;
-  // Delay between bring-up retries after the storage device fails.
-  sim::Duration retry_delay = sim::Duration::Micros(500);
-  uint32_t max_retries = 20;
 };
 
 class KvsApp : public nicdev::AppEngine {
@@ -39,7 +36,6 @@ class KvsApp : public nicdev::AppEngine {
   void Retry(uint32_t attempt);
 
   dev::Device* host_;
-  KvsAppConfig config_;
   KvsEngine engine_;
   uint32_t recoveries_ = 0;
   // True while a bring-up attempt is in flight, so the initial-start and

@@ -104,7 +104,8 @@ void KvsEngine::Start(StartCallback done) {
   log_tail_ = 0;
   live_bytes_ = 0;
   // Find a file-service provider, then choose the generation to adopt.
-  host_->rpc().Discover(proto::ServiceType::kFile, config_.log_file, sim::Duration::Micros(20),
+  host_->rpc().Discover(proto::ServiceType::kFile, config_.log_file,
+                  config_.file_client.discover_window,
                   [this, done = std::move(done)](
                       std::vector<proto::ServiceDescriptor> services) mutable {
                     if (!services.empty()) {
@@ -114,7 +115,7 @@ void KvsEngine::Start(StartCallback done) {
                     // The base file may be gone after a compaction; ask any
                     // file service.
                     host_->rpc().Discover(
-                        proto::ServiceType::kFile, "", sim::Duration::Micros(20),
+                        proto::ServiceType::kFile, "", config_.file_client.discover_window,
                         [this, done = std::move(done)](
                             std::vector<proto::ServiceDescriptor> any) mutable {
                           if (any.empty()) {

@@ -7,8 +7,10 @@
 
 namespace lastcpu::net {
 
-Network::Network(sim::Simulator* simulator, NetworkConfig config)
-    : simulator_(simulator), config_(config) {
+constexpr sim::Duration kBaseLatency = sim::Duration::Micros(5);  // one-way wire+switch
+constexpr double kBytesPerNano = 10.0;                           // ~10 GB/s links
+
+Network::Network(sim::Simulator* simulator) : simulator_(simulator) {
   LASTCPU_CHECK(simulator != nullptr, "network needs a simulator");
 }
 
@@ -29,12 +31,12 @@ void Network::Send(EndpointId from, EndpointId to, std::vector<uint8_t> payload)
   bytes_->Increment(payload.size());
 
   // The link is busy only while it serializes the datagram; the datagram
-  // then flies for base_latency while the next one goes out behind it.
+  // then flies for kBaseLatency while the next one goes out behind it.
   auto serialization = sim::Duration::Nanos(
-      static_cast<uint64_t>(static_cast<double>(payload.size()) / config_.bytes_per_nano));
+      static_cast<uint64_t>(static_cast<double>(payload.size()) / kBytesPerNano));
   sim::SimTime start = std::max(simulator_->Now(), source->second.tx_busy_until);
   source->second.tx_busy_until = start + serialization;
-  sim::SimTime arrival = source->second.tx_busy_until + config_.base_latency;
+  sim::SimTime arrival = source->second.tx_busy_until + kBaseLatency;
 
   simulator_->ScheduleAt(arrival, [this, from, to, payload = std::move(payload)]() mutable {
     auto target = endpoints_.find(to);

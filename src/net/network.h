@@ -20,16 +20,11 @@ namespace lastcpu::net {
 
 using EndpointId = uint32_t;
 
-struct NetworkConfig {
-  sim::Duration base_latency = sim::Duration::Micros(5);  // one-way wire+switch
-  double bytes_per_nano = 10.0;                           // ~10 GB/s links
-};
-
 class Network {
  public:
   using Handler = std::function<void(EndpointId from, std::vector<uint8_t> payload)>;
 
-  explicit Network(sim::Simulator* simulator, NetworkConfig config = {});
+  explicit Network(sim::Simulator* simulator);
 
   // Attaches an endpoint; `handler` receives every datagram addressed to it.
   EndpointId Attach(Handler handler);
@@ -37,7 +32,7 @@ class Network {
 
   // Sends a datagram. Egress is serialized per source endpoint (one link per
   // machine): a datagram holds its source's link for its serialization time
-  // (size / bytes_per_nano) and arrives base_latency after that ends, so
+  // (size / kBytesPerNano) and arrives kBaseLatency after that ends, so
   // back-to-back datagrams fly at once. Delivery is dropped silently if the
   // target detached (like UDP).
   void Send(EndpointId from, EndpointId to, std::vector<uint8_t> payload);
@@ -51,7 +46,6 @@ class Network {
   };
 
   sim::Simulator* simulator_;
-  NetworkConfig config_;
   std::unordered_map<EndpointId, Endpoint> endpoints_;
   EndpointId next_id_ = 1;
   sim::StatsRegistry stats_;

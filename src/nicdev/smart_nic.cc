@@ -7,14 +7,12 @@
 
 namespace lastcpu::nicdev {
 
-SmartNic::SmartNic(DeviceId id, const dev::DeviceContext& context, net::Network* network,
-                   SmartNicConfig config)
-    : dev::Device(id, "smart-nic", context, config.device),
-      network_(network),
-      config_(config),
-      core_busy_until_(config.cores) {
+// Per-request parse/dispatch cost on an embedded core.
+constexpr sim::Duration kRequestCost = sim::Duration::Micros(1);
+
+SmartNic::SmartNic(DeviceId id, const dev::DeviceContext& context, net::Network* network)
+    : dev::Device(id, "smart-nic", context), network_(network) {
   LASTCPU_CHECK(network != nullptr, "NIC needs a network");
-  LASTCPU_CHECK(config.cores > 0, "NIC needs at least one core");
   endpoint_ = network_->Attach([this](net::EndpointId from, std::vector<uint8_t> payload) {
     OnDatagram(from, std::move(payload));
   });
@@ -63,7 +61,7 @@ void SmartNic::OnDatagram(net::EndpointId from, std::vector<uint8_t> payload) {
     return;
   }
   // Parse + dispatch on an embedded core.
-  sim::SimTime ready = OccupyCore(config_.request_cost);
+  sim::SimTime ready = OccupyCore(kRequestCost);
   simulator()->ScheduleAt(ready, [this, from, payload = std::move(payload)]() mutable {
     if (state() != State::kAlive || !app_ready_) {
       ++requests_dropped_;

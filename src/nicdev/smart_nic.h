@@ -9,6 +9,7 @@
 #ifndef SRC_NICDEV_SMART_NIC_H_
 #define SRC_NICDEV_SMART_NIC_H_
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <string>
@@ -43,17 +44,12 @@ class AppEngine {
   virtual void OnPeerPermanentlyFailed(DeviceId device) { (void)device; }
 };
 
-struct SmartNicConfig {
-  // Embedded packet-processing cores and the per-request parse/dispatch cost.
-  uint32_t cores = 4;
-  sim::Duration request_cost = sim::Duration::Micros(1);
-  dev::DeviceConfig device;
-};
-
 class SmartNic : public dev::Device {
  public:
-  SmartNic(DeviceId id, const dev::DeviceContext& context, net::Network* network,
-           SmartNicConfig config = {});
+  // Embedded packet-processing cores.
+  static constexpr size_t kCores = 4;
+
+  SmartNic(DeviceId id, const dev::DeviceContext& context, net::Network* network);
 
   // Installs the offloaded application; it starts when the NIC goes alive
   // (Sec. 2.2: "the device will load its applications").
@@ -79,11 +75,10 @@ class SmartNic : public dev::Device {
   sim::SimTime OccupyCore(sim::Duration cost);
 
   net::Network* network_;
-  SmartNicConfig config_;
   net::EndpointId endpoint_ = 0;
   std::unique_ptr<AppEngine> app_;
   bool app_ready_ = false;
-  std::vector<sim::SimTime> core_busy_until_;
+  std::array<sim::SimTime, kCores> core_busy_until_{};
   uint64_t requests_handled_ = 0;
   uint64_t requests_dropped_ = 0;
   // Per-datagram counters, by handle: each enters the registry at its first

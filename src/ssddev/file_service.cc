@@ -7,6 +7,12 @@
 
 namespace lastcpu::ssddev {
 
+// Firmware cost to parse + dispatch one request on the embedded core.
+constexpr sim::Duration kRequestCost = sim::Duration::Micros(2);
+// Concurrent chains the firmware keeps in flight per session (commands
+// outstanding against the FTL; exploits NAND die parallelism).
+constexpr uint32_t kMaxInFlight = 32;
+
 FileService::FileService(dev::Device* host, FlashFs* fs, auth::AuthService* auth,
                          FileServiceConfig config)
     : Service(proto::ServiceDescriptor{host->id(), proto::ServiceType::kFile, "flashfs", 0}),
@@ -151,7 +157,7 @@ void FileService::ScheduleDrain(InstanceId instance) {
   }
   session->drain_scheduled = true;
   // The embedded firmware picks the next request up after its dispatch cost.
-  host_->simulator()->Schedule(config_.request_cost, [this, instance] { DrainSession(instance); });
+  host_->simulator()->Schedule(kRequestCost, [this, instance] { DrainSession(instance); });
 }
 
 void FileService::DrainSession(InstanceId instance) {
@@ -160,7 +166,7 @@ void FileService::DrainSession(InstanceId instance) {
     return;  // closed mid-drain
   }
   session->drain_scheduled = false;
-  if (session->in_flight >= config_.max_in_flight) {
+  if (session->in_flight >= kMaxInFlight) {
     return;  // a completion will re-arm the drain
   }
   auto chain = session->queue->PopAvail();
@@ -172,7 +178,7 @@ void FileService::DrainSession(InstanceId instance) {
   ++session->in_flight;
   ServeChain(instance, **std::move(chain));
   // Keep pulling while there may be more work and budget.
-  if (session->in_flight < config_.max_in_flight) {
+  if (session->in_flight < kMaxInFlight) {
     ScheduleDrain(instance);
   }
 }

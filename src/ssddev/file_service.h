@@ -28,11 +28,6 @@ namespace lastcpu::ssddev {
 
 struct FileServiceConfig {
   uint16_t queue_depth = 64;
-  // Firmware cost to parse + dispatch one request on the embedded core.
-  sim::Duration request_cost = sim::Duration::Micros(2);
-  // Concurrent chains the firmware keeps in flight per session (commands
-  // outstanding against the FTL; exploits NAND die parallelism).
-  uint32_t max_in_flight = 32;
 };
 
 class FileService : public dev::Service {

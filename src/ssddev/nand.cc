@@ -7,14 +7,16 @@
 
 namespace lastcpu::ssddev {
 
+constexpr sim::Duration kProgramLatency = sim::Duration::Micros(400);
+constexpr sim::Duration kEraseLatency = sim::Duration::Millis(3);
+
 const std::vector<uint8_t>& PageData::bytes() const {
   static const std::vector<uint8_t> kNone;
   return bytes_ != nullptr ? *bytes_ : kNone;
 }
 
-NandArray::NandArray(sim::Simulator* simulator, NandGeometry geometry, NandTiming timing,
-                     uint64_t seed)
-    : simulator_(simulator), geometry_(geometry), timing_(timing), rng_(seed) {
+NandArray::NandArray(sim::Simulator* simulator, NandGeometry geometry, uint64_t seed)
+    : simulator_(simulator), geometry_(geometry), rng_(seed) {
   LASTCPU_CHECK(simulator != nullptr, "NAND needs a simulator");
   LASTCPU_CHECK(geometry.dies > 0 && geometry.blocks_per_die > 0 && geometry.pages_per_block > 0,
                 "degenerate NAND geometry");
@@ -53,7 +55,7 @@ void NandArray::ReadPage(Ppa ppa, ReadCallback done) {
                          [done = std::move(done), valid] { done(valid); });
     return;
   }
-  sim::SimTime completion = OccupyDie(ppa.die, timing_.read_latency);
+  sim::SimTime completion = OccupyDie(ppa.die, kNandReadLatency);
   reads_.Increment();
   bool inject_error = read_error_rate_ > 0.0 && rng_.NextBool(read_error_rate_);
   uint64_t gen = generation_;
@@ -86,7 +88,7 @@ void NandArray::ProgramPage(Ppa ppa, PageData data, OpCallback done) {
 void NandArray::ProgramPage(Ppa ppa, PageData data, OobTag tag, OpCallback done) {
   LASTCPU_CHECK(done != nullptr, "NAND program without callback");
   Status valid = CheckAddress(ppa);
-  if (valid.ok() && data.bytes().size() > geometry_.page_bytes) {
+  if (valid.ok() && data.bytes().size() > kNandPageBytes) {
     valid = InvalidArgument("program larger than a page");
   }
   if (!valid.ok()) {
@@ -94,7 +96,7 @@ void NandArray::ProgramPage(Ppa ppa, PageData data, OobTag tag, OpCallback done)
                          [done = std::move(done), valid] { done(valid); });
     return;
   }
-  sim::SimTime completion = OccupyDie(ppa.die, timing_.program_latency);
+  sim::SimTime completion = OccupyDie(ppa.die, kProgramLatency);
   programs_.Increment();
   inflight_programs_.push_back(ppa);
   if (program_observer_) {
@@ -129,7 +131,7 @@ void NandArray::EraseBlock(uint32_t die, uint32_t block, OpCallback done) {
     });
     return;
   }
-  sim::SimTime completion = OccupyDie(die, timing_.erase_latency);
+  sim::SimTime completion = OccupyDie(die, kEraseLatency);
   stats_.GetCounter("erases").Increment();
   inflight_erases_.emplace_back(die, block);
   uint64_t gen = generation_;

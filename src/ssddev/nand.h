@@ -30,22 +30,18 @@
 
 namespace lastcpu::ssddev {
 
+inline constexpr uint32_t kNandPageBytes = 4096;
+inline constexpr sim::Duration kNandReadLatency = sim::Duration::Micros(50);
+
 struct NandGeometry {
   uint32_t dies = 4;
   uint32_t blocks_per_die = 64;
   uint32_t pages_per_block = 64;
-  uint32_t page_bytes = 4096;
 
   uint64_t total_pages() const {
     return static_cast<uint64_t>(dies) * blocks_per_die * pages_per_block;
   }
-  uint64_t total_bytes() const { return total_pages() * page_bytes; }
-};
-
-struct NandTiming {
-  sim::Duration read_latency = sim::Duration::Micros(50);
-  sim::Duration program_latency = sim::Duration::Micros(400);
-  sim::Duration erase_latency = sim::Duration::Millis(3);
+  uint64_t total_bytes() const { return total_pages() * kNandPageBytes; }
 };
 
 // Physical page address.
@@ -108,8 +104,7 @@ class NandArray {
   // DataLoss and cannot be programmed; only a block erase reclaims it.
   enum class PageState : uint8_t { kErased, kWritten, kTorn };
 
-  NandArray(sim::Simulator* simulator, NandGeometry geometry = {}, NandTiming timing = {},
-            uint64_t seed = 1);
+  NandArray(sim::Simulator* simulator, NandGeometry geometry = {}, uint64_t seed = 1);
 
   const NandGeometry& geometry() const { return geometry_; }
 
@@ -171,7 +166,6 @@ class NandArray {
 
   sim::Simulator* simulator_;
   NandGeometry geometry_;
-  NandTiming timing_;
   std::vector<Die> dies_;
   sim::Rng rng_;
   double read_error_rate_ = 0.0;

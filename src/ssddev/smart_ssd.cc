@@ -8,7 +8,7 @@ namespace lastcpu::ssddev {
 
 SmartSsd::SmartSsd(DeviceId id, const dev::DeviceContext& context, SmartSsdConfig config)
     : dev::Device(id, "smart-ssd", context, config.device),
-      nand_(context.simulator, config.nand, config.timing, /*seed=*/id.value() + 7),
+      nand_(context.simulator, config.nand, /*seed=*/id.value() + 7),
       ftl_(context.simulator, &nand_, config.ftl),
       fs_(&ftl_) {
   if (config.host_auth_service) {

@@ -24,7 +24,6 @@ namespace lastcpu::ssddev {
 
 struct SmartSsdConfig {
   NandGeometry nand;
-  NandTiming timing;
   FtlConfig ftl;
   FileServiceConfig file_service;
   bool host_auth_service = true;

@@ -703,7 +703,7 @@ TEST(KvsCompactionTest, FailedCompactionAppendLeavesEngineServing) {
   };
   // Distinct keys keep every record live. Stop once the free space can no
   // longer hold a copy of the log.
-  for (int i = 0; ssd.fs().free_pages() * ssd_config.nand.page_bytes > engine.log_tail_bytes();
+  for (int i = 0; ssd.fs().free_pages() * ssddev::kNandPageBytes > engine.log_tail_bytes();
        ++i) {
     ASSERT_TRUE(put("key" + std::to_string(i), std::vector<uint8_t>(1024, static_cast<uint8_t>(i)))
                     .ok());

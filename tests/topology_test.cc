@@ -299,7 +299,7 @@ TEST(SegmentedBus, CrossSegmentUnicastPaysOneHop) {
   sim::Duration cross_delay = c.at.back() - sent_cross;
 
   // Identical payloads, so the only difference is the inter-segment router.
-  EXPECT_EQ(cross_delay - local_delay, config.inter_segment_latency);
+  EXPECT_EQ(cross_delay - local_delay, bus::kInterSegmentLatency);
   ASSERT_EQ(bus.segment_counters().size(), 2u);
   EXPECT_EQ(bus.segment_counters()[0].routed_out, 1u);
   EXPECT_EQ(bus.segment_counters()[1].routed_in, 1u);
