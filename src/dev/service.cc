@@ -3,6 +3,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/base/check.h"
+
 namespace lastcpu::dev {
 
 bool Service::Matches(const proto::DiscoverRequest& query) const {
@@ -13,7 +15,9 @@ Result<InstanceId> Service::CreateInstance(DeviceId client, Pasid pasid, std::st
   if (descriptor_.max_instances != 0 && instances_.size() >= descriptor_.max_instances) {
     return ResourceExhausted("service '" + descriptor_.name + "' instance limit reached");
   }
-  InstanceId id(next_instance_++);
+  LASTCPU_CHECK(next_instance_ != nullptr, "service '%s' is on no device",
+                descriptor_.name.c_str());
+  InstanceId id((*next_instance_)++);
   instances_.emplace(id, ServiceInstance{id, client, pasid, std::move(resource)});
   return id;
 }

@@ -70,6 +70,7 @@ class Service {
 
  protected:
   // Registers a new instance; enforces max_instances from the descriptor.
+  // Its id comes from the hosting device, unique across the device's services.
   Result<InstanceId> CreateInstance(DeviceId client, Pasid pasid, std::string resource);
 
   // Hook invoked whenever an instance goes away (Close/Teardown*), so
@@ -79,9 +80,11 @@ class Service {
   std::optional<ServiceInstance> FindInstance(InstanceId instance) const;
 
  private:
+  friend class Device;  // AddService binds next_instance_
+
   proto::ServiceDescriptor descriptor_;
   std::map<InstanceId, ServiceInstance> instances_;
-  uint64_t next_instance_ = 1;
+  uint64_t* next_instance_ = nullptr;  // the hosting device's instance id counter
 };
 
 }  // namespace lastcpu::dev

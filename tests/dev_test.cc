@@ -176,6 +176,31 @@ TEST_F(DeviceTest, CloseReleasesInstance) {
   EXPECT_EQ(code, StatusCode::kNotFound);
 }
 
+// Two services on one device draw instance ids from one counter, so a
+// CloseRequest reaches the service that opened the instance it names.
+TEST_F(DeviceTest, CloseReachesTheServiceThatOpenedIt) {
+  ssd_.AddService(std::make_unique<EchoService>(DeviceId(2), "echo2"));
+  PowerOnAll();
+  std::vector<InstanceId> instances;
+  for (const char* service : {"echo", "echo2"}) {
+    nic_.rpc().Call<proto::OpenResponse>(DeviceId(2), proto::OpenRequest{service, "", 0, Pasid(1)},
+                                         [&](Result<proto::OpenResponse> opened) {
+                                           ASSERT_TRUE(opened.ok());
+                                           instances.push_back(opened->instance);
+                                         });
+    harness_.simulator.Run();
+  }
+  ASSERT_EQ(instances.size(), 2u);
+  EXPECT_NE(instances[0], instances[1]);
+  bool closed = false;
+  nic_.rpc().Call<void>(DeviceId(2), proto::CloseRequest{instances[0]},
+                        [&](Result<void> result) { closed = result.ok(); });
+  harness_.simulator.Run();
+  EXPECT_TRUE(closed);
+  EXPECT_EQ(ssd_.FindServiceByName("echo")->instance_count(), 0u);
+  EXPECT_EQ(ssd_.FindServiceByName("echo2")->instance_count(), 1u);
+}
+
 TEST_F(DeviceTest, RequestToDeadDeviceTimesOutOrBounces) {
   nic_.PowerOn();
   harness_.simulator.Run();
