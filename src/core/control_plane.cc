@@ -237,6 +237,9 @@ ShardedControlClient::Lease* ShardedControlClient::LeaseCovering(VirtAddr vaddr)
 
 void ShardedControlClient::RefreshDirectory(uint32_t attempt) {
   ++directory_refreshes_;
+  if (attempt == 0) {
+    ++refreshes_pending_;
+  }
   requester_->rpc().Call<proto::ShardDirectoryResponse>(
       kBusDevice, proto::ShardDirectoryRequest{},
       [this, attempt](Result<proto::ShardDirectoryResponse> response) {
@@ -246,9 +249,12 @@ void ShardedControlClient::RefreshDirectory(uint32_t attempt) {
           if (attempt + 1 < kMaxReassertAttempts) {
             simulator()->Schedule(kReassertBackoff,
                                   [this, attempt] { RefreshDirectory(attempt + 1); });
+          } else {
+            --refreshes_pending_;
           }
           return;
         }
+        --refreshes_pending_;
         AdoptDirectory(response->shards);
       });
 }
@@ -393,12 +399,14 @@ template <typename Response, typename Request, typename OnOk, typename T>
 void ShardedControlClient::Run(const Request& request, uint32_t retries, OnOk on_ok,
                                Callback<T> done) {
   // An empty order sends a grant or free to the bus, which routes it by
-  // address; every other op needs a live target shard.
+  // address; every other op needs a live target shard. Only a directory
+  // refresh can name a successor to a dead one, so an op with no target
+  // waits only while a refresh is pending.
   std::vector<size_t> order;
   if constexpr (!kRoutedByBus<Request>) {
     order = Targets(request);
     if (order.empty()) {
-      if (retries < kMaxOpRetries) {
+      if (refreshes_pending_ > 0 && retries < kMaxOpRetries) {
         ++op_retries_;
         simulator()->Schedule(kRetryBackoff, [this, request, retries, on_ok,
                                               done = std::move(done)]() mutable {

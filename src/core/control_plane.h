@@ -168,9 +168,11 @@ class ShardedControlClient : public ControlClient {
   // shard by address; every other op goes to its Targets. Send issues the
   // request to shard order[attempt], or to the bus when `order` is empty. A
   // full, offline or unreachable target spills the request to the next one;
-  // when every target bounced, the whole op runs again after a back-off, a
-  // bounded number of times. `on_ok` records the op's effect in the lease
-  // ledger; for an allocation it also yields what `done` receives.
+  // when every target bounced, or no target is left while a directory
+  // refresh is pending, the whole op runs again after a back-off, a bounded
+  // number of times. With no target and no refresh pending it fails at once.
+  // `on_ok` records the op's effect in the lease ledger; for an allocation it
+  // also yields what `done` receives.
   template <typename Response, typename Request, typename OnOk, typename T>
   void Run(const Request& request, uint32_t retries, OnOk on_ok, Callback<T> done);
   template <typename Response, typename Request, typename OnOk, typename T>
@@ -201,6 +203,8 @@ class ShardedControlClient : public ControlClient {
   uint64_t leases_reasserted_ = 0;
   uint64_t leases_lost_ = 0;
   uint64_t directory_refreshes_ = 0;
+  // Directory refreshes sent or waiting to retry.
+  uint32_t refreshes_pending_ = 0;
   uint64_t failed_token_ = 0;
   uint64_t perm_failed_token_ = 0;
 };
