@@ -158,7 +158,7 @@ TEST_P(FtlPowerCutProperty, RecoveredStateEqualsAckedPrefix) {
   sim::Rng rng(GetParam());
 
   const uint64_t working_set = ftl.logical_pages() * 9 / 10;
-  const uint32_t page_bytes = ftl.page_bytes();
+  const uint32_t page_bytes = ssddev::kNandPageBytes;
   auto page_of = [&](uint8_t fill) { return std::vector<uint8_t>(page_bytes, fill); };
 
   std::map<uint64_t, uint8_t> model;  // lpn -> last acked fill
