@@ -64,7 +64,7 @@ Status FlashFs::Delete(const std::string& name) {
   uint32_t id = it->second.id;
   files_.erase(it);
   auto queue = write_queues_.find(name);
-  if (queue != write_queues_.end() && !queue->second.active) {
+  if (queue != write_queues_.end() && queue->second.running == 0) {
     write_queues_.erase(queue);  // idle, so empty: a running one goes once it drains
   }
   for (uint64_t lpn : lpns) {
@@ -189,20 +189,21 @@ void FlashFs::EnqueueWrite(const std::string& name, QueuedWrite queued) {
     q.writes.splice(q.writes.end(), q.spare, q.spare.begin());
     q.writes.back() = std::move(queued);
   }
-  if (!q.active) {
+  if (q.running == 0) {
     PumpWrites(queue);
   }
 }
 
 void FlashFs::PumpWrites(WriteQueues::iterator queue) {
-  if (queue->second.writes.empty()) {
+  WriteQueue& q = queue->second;
+  if (q.writes.empty()) {
     if (!files_.contains(queue->first)) {
       write_queues_.erase(queue);
     }
     return;
   }
-  queue->second.active = true;
-  if (queue->second.writes.front().kind == QueuedWrite::Kind::kBarrier) {
+  q.running = 1;
+  if (q.writes.front().kind == QueuedWrite::Kind::kBarrier) {
     ftl_->SyncMeta([this, queue](Status) {
       // Even a failed sync releases the queue; the writes behind it will
       // surface their own errors (or succeed un-journaled and be reclaimed
@@ -211,42 +212,54 @@ void FlashFs::PumpWrites(WriteQueues::iterator queue) {
     });
     return;
   }
-  WritePages(queue, 0);
+  for (auto prev = q.writes.begin(), next = std::next(prev);
+       next != q.writes.end() && next->kind == QueuedWrite::Kind::kData &&
+       next->file_id == prev->file_id && next->offset == prev->offset + prev->data.size();
+       prev = next++) {
+    ++q.running;
+  }
+  WritePages(queue, q.writes.front().offset / kNandPageBytes);
 }
 
 void FlashFs::FinishWrite(WriteQueues::iterator queue, Status status) {
   WriteQueue& q = queue->second;
-  QueuedWrite finished = std::move(q.writes.front());
-  q.spare.splice(q.spare.begin(), q.writes, q.writes.begin());
-  if (finished.done != nullptr) {  // barriers have none
-    finished.done(status);
+  // The batch stays at the front, running, until each of its writes has
+  // completed: writes that a completion submits queue behind it.
+  auto write = q.writes.begin();
+  for (size_t i = 0; i < q.running; ++i, ++write) {
+    QueuedWrite finished = std::move(*write);
+    if (finished.done != nullptr) {  // barriers have none
+      finished.done(status);
+    }
   }
-  q.active = false;
+  q.spare.splice(q.spare.begin(), q.writes, q.writes.begin(), write);
+  q.running = 0;
   PumpWrites(queue);
 }
 
-void FlashFs::WritePages(WriteQueues::iterator queue, size_t page_index) {
-  const QueuedWrite& write = queue->second.writes.front();
-  const Inode* file = FindInode(queue->first, write.file_id);
+void FlashFs::WritePages(WriteQueues::iterator queue, uint64_t page) {
+  const WriteQueue& q = queue->second;
+  const QueuedWrite& first = q.writes.front();
+  const QueuedWrite& last = *std::next(q.writes.begin(), q.running - 1);
+  const Inode* file = FindInode(queue->first, first.file_id);
   if (file == nullptr) {
     FinishWrite(queue, Aborted("file deleted during write"));
     return;
   }
   const Inode& inode = *file;
-  uint64_t first_page = write.offset / kNandPageBytes;
-  uint64_t last_page = (write.offset + write.data.size() - 1) / kNandPageBytes;
-  if (first_page + page_index > last_page) {
+  uint64_t end = last.offset + last.data.size();
+  uint64_t last_page = (end - 1) / kNandPageBytes;
+  if (page > last_page) {
     FinishWrite(queue, OkStatus());
     return;
   }
-  uint64_t page = first_page + page_index;
   uint64_t page_start = page * kNandPageBytes;
-  uint64_t slice_begin = std::max(write.offset, page_start);
-  uint64_t slice_end = std::min(write.offset + write.data.size(), page_start + kNandPageBytes);
+  uint64_t slice_begin = std::max(first.offset, page_start);
+  uint64_t slice_end = std::min(end, page_start + kNandPageBytes);
   uint64_t lpn = inode.lpns[page];
   // Journal the file identity with the page, and the file size durable once
-  // it is on media. Only a write's last page carries the write's end, so a
-  // write torn by a power cut leaves the file at its old size: an append is
+  // it is on media. Only a batch's last page carries the batch's end, so a
+  // batch torn by a power cut leaves the file at its old size: an append is
   // durable whole or not at all, never as a prefix later appends land behind.
   Ftl::FileTag tag{inode.id, static_cast<uint32_t>(page),
                    page == last_page ? std::max(inode.durable_size, slice_end)
@@ -255,31 +268,36 @@ void FlashFs::WritePages(WriteQueues::iterator queue, size_t page_index) {
   bool full_page = slice_begin == page_start && slice_end == page_start + kNandPageBytes;
   if (full_page || !ftl_->IsMapped(lpn)) {
     // Fresh or fully-covered page: no read-modify-write needed.
-    WritePage(queue, page_index, lpn, tag, {});
+    WritePage(queue, lpn, tag, {});
     return;
   }
   // Partial overwrite of existing data: read-modify-write.
-  ftl_->Read(lpn, [this, queue, page_index, lpn,
-                   tag](Result<std::span<const uint8_t>> existing) {
+  ftl_->Read(lpn, [this, queue, lpn, tag](Result<std::span<const uint8_t>> existing) {
     std::vector<uint8_t> base;
     if (existing.ok()) {
       base.assign(existing->begin(), existing->end());
     }
-    WritePage(queue, page_index, lpn, tag, std::move(base));
+    WritePage(queue, lpn, tag, std::move(base));
   });
 }
 
-void FlashFs::WritePage(WriteQueues::iterator queue, size_t page_index, uint64_t lpn,
-                        Ftl::FileTag tag, std::vector<uint8_t> page) {
-  const QueuedWrite& write = queue->second.writes.front();
-  uint64_t page_start = (write.offset / kNandPageBytes + page_index) * kNandPageBytes;
-  uint64_t slice_begin = std::max(write.offset, page_start);
-  uint64_t slice_end = std::min(write.offset + write.data.size(), page_start + kNandPageBytes);
+void FlashFs::WritePage(WriteQueues::iterator queue, uint64_t lpn, Ftl::FileTag tag,
+                        std::vector<uint8_t> page) {
+  const WriteQueue& q = queue->second;
+  uint64_t page_start = uint64_t{tag.file_page} * kNandPageBytes;
+  uint64_t page_end = page_start + kNandPageBytes;
   page.resize(kNandPageBytes, 0);
-  std::memcpy(page.data() + (slice_begin - page_start),
-              write.data.data() + (slice_begin - write.offset), slice_end - slice_begin);
+  auto write = q.writes.begin();
+  for (size_t i = 0; i < q.running; ++i, ++write) {
+    uint64_t slice_begin = std::max(write->offset, page_start);
+    uint64_t slice_end = std::min(write->offset + write->data.size(), page_end);
+    if (slice_begin < slice_end) {
+      std::memcpy(page.data() + (slice_begin - page_start),
+                  write->data.data() + (slice_begin - write->offset), slice_end - slice_begin);
+    }
+  }
   ftl_->Write(lpn, std::move(page), tag,
-              [this, queue, page_index, durable = tag.size_after](Status s) {
+              [this, queue, page = tag.file_page, durable = tag.size_after](Status s) {
     if (!s.ok()) {
       FinishWrite(queue, s);
       return;
@@ -288,7 +306,7 @@ void FlashFs::WritePage(WriteQueues::iterator queue, size_t page_index, uint64_t
     if (Inode* inode = FindInode(queue->first, queue->second.writes.front().file_id)) {
       inode->durable_size = std::max(inode->durable_size, durable);
     }
-    WritePages(queue, page_index + 1);
+    WritePages(queue, uint64_t{page} + 1);
   });
 }
 
@@ -383,15 +401,15 @@ void FlashFs::FinishRead(Reads::iterator read, Status status) {
 
 void FlashFs::PowerCut() {
   Status why = Unavailable("ssd power loss");
-  // Every waiting write fails now, in name then queue order. A running write
+  // Every waiting write fails now, in name then queue order. A running batch
   // keeps its queue until the FTL fails its pending op.
   std::vector<QueuedWrite> doomed;
   for (auto it = write_queues_.begin(); it != write_queues_.end();) {
     std::list<QueuedWrite>& writes = it->second.writes;
-    auto waiting = std::next(writes.begin(), it->second.active ? 1 : 0);
+    auto waiting = std::next(writes.begin(), it->second.running);
     std::move(waiting, writes.end(), std::back_inserter(doomed));
     writes.erase(waiting, writes.end());
-    it = it->second.active ? std::next(it) : write_queues_.erase(it);
+    it = it->second.running > 0 ? std::next(it) : write_queues_.erase(it);
   }
   for (QueuedWrite& w : doomed) {
     if (w.done != nullptr) {

@@ -114,11 +114,16 @@ class FlashFs {
     FileAcl acl;
   };
 
-  // Writes to one file execute strictly in submission order: concurrent
+  // Writes to one file go to media in submission order: concurrent
   // read-modify-writes of a shared tail page would otherwise lose updates.
-  // Barriers (created by Create) hold the queue until the meta journal is
-  // durable. A structured queue — not opaque thunks — lets PowerCut fail
-  // everything still waiting.
+  // A data write that starts takes with it, as one batch, every queued write
+  // to the same file that begins where the one before it ends. The batch
+  // walks its pages once, each page it touches is read-modify-written and
+  // programmed once, and its writes complete in order when its last page is
+  // durable: appends queued behind a running write share its page programs.
+  // A gap, a barrier or another file ends a batch. Barriers (created by
+  // Create) hold the queue until the meta journal is durable. A structured
+  // queue — not opaque thunks — lets PowerCut fail everything still waiting.
   struct QueuedWrite {
     enum class Kind : uint8_t { kData, kBarrier };
     Kind kind = Kind::kData;
@@ -127,16 +132,17 @@ class FlashFs {
     std::vector<uint8_t> data;
     WriteCallback done;
   };
-  // One file's queue. While `active`, the front write runs and keeps its
-  // bytes and completion here, so the FTL completions on its way capture
-  // only the queue. Finished entries wait in `spare` for the next write, so
-  // a steady stream of writes allocates no queue storage. A file keeps its
-  // queue from its first write until it is deleted; a queue whose file is
-  // gone goes once it drains.
+  // One file's queue. Its first `running` entries, a barrier or a batch of
+  // data writes, are at work and keep their bytes and completions here, so
+  // the FTL completions on their way capture only the queue. Finished
+  // entries wait in `spare` for the next writes, so a steady stream of
+  // writes allocates no queue storage. A file keeps its queue from its first
+  // write until it is deleted; a queue whose file is gone goes once it
+  // drains.
   struct WriteQueue {
     std::list<QueuedWrite> writes;
     std::list<QueuedWrite> spare;
-    bool active = false;
+    size_t running = 0;
   };
   using WriteQueues = std::map<std::string, WriteQueue>;
   // A read in flight: its file, first byte, result buffer and completion. The
@@ -159,15 +165,16 @@ class FlashFs {
   // Ensures the inode has backing pages through byte `end`.
   Status EnsureCapacity(Inode& inode, uint64_t end);
 
-  // Sequential page-by-page writer of a queue's front write, shared by
-  // Write/Append. Looks the inode up at every step so mid-flight deletion
-  // aborts cleanly.
-  void WritePages(WriteQueues::iterator queue, size_t page_index);
-  // Merges the front write's slice of page `page_index` into `page` (empty,
+  // The page walk of a queue's running batch, shared by Write/Append: writes
+  // file page `page`, then the next. Looks the inode up at every step so
+  // mid-flight deletion aborts cleanly.
+  void WritePages(WriteQueues::iterator queue, uint64_t page);
+  // Copies each running write's slice of the tag's page into `page` (empty,
   // or the page's current bytes) and writes it to `lpn`.
-  void WritePage(WriteQueues::iterator queue, size_t page_index, uint64_t lpn, Ftl::FileTag tag,
+  void WritePage(WriteQueues::iterator queue, uint64_t lpn, Ftl::FileTag tag,
                  std::vector<uint8_t> page);
-  // Completes the front write and starts the next one.
+  // Completes the running barrier or batch, in submission order, and starts
+  // what waits behind it.
   void FinishWrite(WriteQueues::iterator queue, Status status);
   // The one page walk of a read: copies page `page`'s slice into the result,
   // then reads the next page. The file's existence is checked before each

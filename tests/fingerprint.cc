@@ -19,34 +19,34 @@ struct Entry {
 // entries name the test; KernelFingerprint entries name the core count;
 // Example entries hash that example's stdout.
 constexpr Entry kTable[] = {
-    {"ChaosSoak/ssd-transient", 0x7e2771cf35526f15ull},
-    {"ChaosSoak/ssd-crash-loop-then-recover", 0x1ab34e5a6cc72160ull},
+    {"ChaosSoak/ssd-transient", 0x02a834bdc55a5489ull},
+    {"ChaosSoak/ssd-crash-loop-then-recover", 0x0adec4e51205590eull},
     {"ChaosSoak/ssd-never-returns", 0x40cd57a70c157ba7ull},
-    {"ChaosSoak/ssd-dies-in-boot-self-test", 0xe92fa5ad0c68dbbeull},
-    {"ChaosSoak/ssd-dies-mid-session-setup", 0xacd0cd296e6ab6b1ull},
+    {"ChaosSoak/ssd-dies-in-boot-self-test", 0xae2837125b50146aull},
+    {"ChaosSoak/ssd-dies-mid-session-setup", 0x771ce9a462efa11cull},
     {"ChaosSoak/ssd-dies-early-never-returns", 0xdbd5af9675fb4c4bull},
-    {"ChaosSoak/ssd-dies-again-during-kvs-recovery", 0x7874d87c25eab2cfull},
-    {"ChaosSoak/nic-transient", 0x89331b084b2db626ull},
-    {"ChaosSoak/memctrl-transient", 0x42de62cff050b320ull},
+    {"ChaosSoak/ssd-dies-again-during-kvs-recovery", 0x4969e3a80e031773ull},
+    {"ChaosSoak/nic-transient", 0xe41cf5dfbfbeb648ull},
+    {"ChaosSoak/memctrl-transient", 0xf86cbb1e9184156bull},
     {"ChaosSoak/ssd-crash-loops-into-quarantine", 0xb777b5f352f28476ull},
     {"ChaosSoak/ssd-power-cut-transient", 0x06814e10d1390209ull},
-    {"ChaosSoak/ssd-power-cut-mid-gc", 0xa7af9005744ef3d6ull},
+    {"ChaosSoak/ssd-power-cut-mid-gc", 0x0c2d8da41103d270ull},
     {"ChaosSoak/ssd-power-cut-double", 0x63740e51228976ebull},
-    {"ChaosSoak/magazine-holder-never-returns", 0x9370856ef47241efull},
-    {"ChaosSoak/ssd-transient/batched", 0x79fdc176ad0fb039ull},
-    {"ChaosSoak/ssd-crash-loop-then-recover/batched", 0x4414c9548f1b4e50ull},
+    {"ChaosSoak/magazine-holder-never-returns", 0x8966e173992330d2ull},
+    {"ChaosSoak/ssd-transient/batched", 0xe4c54bb23fef0888ull},
+    {"ChaosSoak/ssd-crash-loop-then-recover/batched", 0x966ceffe3900d8a4ull},
     {"ChaosSoak/ssd-never-returns/batched", 0x16d39dd9abb853e9ull},
-    {"ChaosSoak/ssd-dies-in-boot-self-test/batched", 0x0574f977b2f6f698ull},
-    {"ChaosSoak/ssd-dies-mid-session-setup/batched", 0x23d499ba5fa7e018ull},
+    {"ChaosSoak/ssd-dies-in-boot-self-test/batched", 0x79ee0aec5a8d29b9ull},
+    {"ChaosSoak/ssd-dies-mid-session-setup/batched", 0x6e08ea4f342229ddull},
     {"ChaosSoak/ssd-dies-early-never-returns/batched", 0xdbd5af9675fb4c4bull},
-    {"ChaosSoak/ssd-dies-again-during-kvs-recovery/batched", 0x6e8620b2ea2314b1ull},
-    {"ChaosSoak/nic-transient/batched", 0x8ea6a3b276208079ull},
-    {"ChaosSoak/memctrl-transient/batched", 0xc0a18e3ebfadb40dull},
+    {"ChaosSoak/ssd-dies-again-during-kvs-recovery/batched", 0x37e097ffb798e641ull},
+    {"ChaosSoak/nic-transient/batched", 0x7ee667aeea543d83ull},
+    {"ChaosSoak/memctrl-transient/batched", 0xbc0999ed641242ecull},
     {"ChaosSoak/ssd-crash-loops-into-quarantine/batched", 0xc0602353d920dd70ull},
     {"ChaosSoak/ssd-power-cut-transient/batched", 0x3340c36d2f6e61bdull},
-    {"ChaosSoak/ssd-power-cut-mid-gc/batched", 0x842d319f73800591ull},
+    {"ChaosSoak/ssd-power-cut-mid-gc/batched", 0x60d21cc891cd2558ull},
     {"ChaosSoak/ssd-power-cut-double/batched", 0x7e4d0153070677bfull},
-    {"ChaosSoak/magazine-holder-never-returns/batched", 0x577bc0a07355f0fcull},
+    {"ChaosSoak/magazine-holder-never-returns/batched", 0x80e511a4098ec309ull},
     {"RackChaos.ShardKillQuarantinesReclaimsAndRerunsByteIdentical", 0x8be62fb14d1a8a73ull},
     {"RackChaos.ShardRestartMidBurstRerunsByteIdentical", 0x8c4c77de474134faull},
     {"RackChaos.PartitionThenHealReconcilesByteIdentical", 0x631ad04fc3c139f1ull},
