@@ -33,9 +33,11 @@ constexpr sim::Duration kRecoveryScanPerPage = sim::Duration::Nanos(200);
 // reach the decoder).
 
 constexpr size_t kMetaPageHeaderBytes = 4;
+// An empty record: the fixed fields and four zero lengths.
+constexpr size_t kMinRecordBytes = 1 + 8 + 8 + 4 + 2 + 2 + 2 + 2;
 
 size_t EncodedSize(const MetaRecord& record) {
-  size_t n = 1 + 8 + 8 + 4 + 2 + record.name.size() + 2 + record.acl_owner.size() + 2 + 2;
+  size_t n = kMinRecordBytes + record.name.size() + record.acl_owner.size();
   for (const auto& s : record.acl_readers) n += 2 + s.size();
   for (const auto& s : record.acl_writers) n += 2 + s.size();
   return n;
@@ -98,6 +100,8 @@ std::vector<MetaRecord> DecodeMetaPage(std::span<const uint8_t> data) {
   if (!Assign(r.GetU32(), count).ok()) {
     return records;
   }
+  // The count comes from media: reserve no more than the page can hold.
+  records.reserve(std::min<size_t>(count, r.remaining() / kMinRecordBytes));
   for (uint32_t i = 0; i < count; ++i) {
     MetaRecord record;
     if (!GetRecord(r, record).ok()) {
@@ -788,14 +792,11 @@ void Ftl::RelocateMetaPage(uint32_t die, uint32_t block, std::vector<uint32_t> p
     // tombstone is obsolete once its lpn has been re-written under a newer
     // sequence number. Filesystem records are kept verbatim — their
     // lifetime is the filesystem's business, not the FTL's.
-    std::vector<MetaRecord> keep;
-    for (MetaRecord& record : DecodeMetaPage(data->bytes())) {
-      if (record.kind == MetaRecord::Kind::kTrim && record.lpn < logical_pages_ &&
-          mapping_[record.lpn].has_value() && mapping_seq_[record.lpn] > record.seq) {
-        continue;
-      }
-      keep.push_back(std::move(record));
-    }
+    std::vector<MetaRecord> keep = DecodeMetaPage(data->bytes());
+    std::erase_if(keep, [this](const MetaRecord& record) {
+      return record.kind == MetaRecord::Kind::kTrim && record.lpn < logical_pages_ &&
+             mapping_[record.lpn].has_value() && mapping_seq_[record.lpn] > record.seq;
+    });
     if (keep.empty()) {
       // Nothing worth carrying: the journal page simply dies with the block.
       sblock.lpn_of_page[source.page] = -1;
