@@ -52,7 +52,7 @@ TEST(KvsProtocolTest, MalformedRequestsRejected) {
   wire[0] = 99;  // bad op
   EXPECT_FALSE(KvsRequest::Decode(wire).ok());
   wire = request.Encode();
-  wire.resize(wire.size() - 1);  // truncated body
+  wire.pop_back();  // truncated body
   EXPECT_FALSE(KvsRequest::Decode(wire).ok());
 }
 
