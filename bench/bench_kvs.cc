@@ -288,12 +288,14 @@ BENCHMARK(Kvs_CpuMediated)
 // 2000 ops issued at once through the NIC's virtqueue to the SSD, then
 // drained. Read-heavy, the canonical KVS serving pattern: GETs fan out across
 // NAND dies and the device read cache, so completions arrive densely and the
-// batching windows have something to merge. PUTs are paced by the active log
-// block's NAND program time regardless of batching, so 1 op in 8 is a PUT:
-// enough to keep the log warm, not enough to let programs set the pace.
-// Batched turns on the data-plane fast paths: scatter-gather DMA, doorbell
-// coalescing, and virtqueue submit and completion batching. Every number is a
-// count or simulated time, so each run reproduces exactly.
+// batching windows have something to merge. 1 op in 8 is a PUT, enough to
+// keep the log warm. FlashFs group-commits the PUTs' appends, so those queued
+// behind a tail-page program share the next one and NAND programs do not
+// set the burst's pace: unbatched, the burst runs at about 110k ops/s, and
+// batched at about 47k, where its requests and completions wait out the
+// windows. Batched turns on the data-plane fast paths: scatter-gather DMA,
+// doorbell coalescing, and virtqueue submit and completion batching. Every
+// number is a count or simulated time, so each run reproduces exactly.
 
 constexpr uint64_t kBurstKeys = 200;
 constexpr uint64_t kBurstOps = 2000;
@@ -301,8 +303,8 @@ constexpr uint32_t kBurstValueBytes = 256;
 // Coalescing merges only what arrives within one window, so the window must
 // exceed the device's completion inter-arrival time (~60us here: GETs at
 // NAND-read speed across 4 dies) to batch the steady state. 250us is
-// NVMe-style interrupt moderation: ~4 completions per trailing doorbell at
-// this op rate, with throughput set by flash, not the window.
+// NVMe-style interrupt moderation: about 8.6 ops per doorbell, at the price
+// of the throughput the windows hold back.
 constexpr sim::Duration kBatchWindow = sim::Duration::Micros(250);
 
 struct BurstResult {
